@@ -41,11 +41,10 @@ never change bytes.
 
 Decline taxonomy (every reason lands in :data:`STATS` and, for
 steps-prefix requests, in ``RunResult.fork_fallback``): traced runs,
-batch-compiled runs (no step loop left to snapshot), steady orbit not
-certified (covers discard-mode SST), compute-only baselines (per-actor
-fast-forward has no shared boundary), steps that end inside the prefix,
-fast-forward horizons past the exact-arithmetic window, and the chaos
-protocol declines above.
+steady orbit not certified (covers discard-mode SST), compute-only
+baselines (per-actor fast-forward has no shared boundary), steps that
+end inside the prefix, fast-forward horizons past the exact-arithmetic
+window, and the chaos protocol declines above.
 """
 
 from __future__ import annotations
@@ -167,7 +166,6 @@ class SimSnapshot:
     nsim: int
     nana: int
     fidelity: str
-    batch_fallback: Optional[str]
     variable_nbytes: int
     nservers: int
     server_memory_peaks: List[int]
@@ -302,7 +300,6 @@ class SimSnapshot:
         result.get_time = st["get_time"]
         result.bytes_staged = st["bytes_staged"]
         result.fidelity = self.fidelity
-        result.batch_fallback = self.batch_fallback
         result.nservers = self.nservers
         result.sim_memory = rebuilt[0]
         result.ana_memory = rebuilt[1]
@@ -394,7 +391,6 @@ def finish_capture(partial: Dict[str, Any], result) -> SimSnapshot:
         nsim=result.nsim,
         nana=result.nana,
         fidelity=result.fidelity,
-        batch_fallback=result.batch_fallback,
         variable_nbytes=result.variable_nbytes,
         nservers=result.nservers,
         server_memory_peaks=list(result.server_memory_peaks),

@@ -245,12 +245,7 @@ class LustreFilesystem:
         return plan
 
     def plan_for(self, handle: LustreFile, offset: int, nbytes: int) -> list:
-        """Memoized :meth:`_build_plan` lookup (frozen-rate runs only).
-
-        Shared by the live :meth:`_transfer` path and the batch
-        compiler's shadow pool so both replay the identical plan (and
-        populate the same memo).
-        """
+        """Memoized :meth:`_build_plan` lookup (frozen-rate runs only)."""
         memo = self._plan_memo
         key = (
             handle.first_ost, handle.stripe_size, handle.stripe_count,
@@ -264,16 +259,14 @@ class LustreFilesystem:
             memo[key] = plan
         return plan
 
-    @staticmethod
-    def apply_plan(plan: list, now_tick: int, ticks, busy, moved) -> int:
-        """Replay one compiled request against a pool state triple.
+    def apply_plan(self, plan: list) -> int:
+        """Replay one compiled request against the pool's array state.
 
-        ``ticks``/``busy``/``moved`` are the chain-tick / busy-time /
-        bytes-moved arrays — either the live pool's own state or a
-        shadow copy held by the batch compiler.  Returns the request's
-        completion tick.  The float accumulation order is identical in
-        both callers by construction (same code).
+        Updates the chain-tick / busy-time / bytes-moved arrays in
+        place and returns the request's completion tick.
         """
+        now_tick = self.env._now_tick
+        ticks, busy, moved = self._chain_ticks, self._busy, self._moved
         end = 0
         for o_arr, fill, tick_add, per_ost_bytes in plan:
             width = fill.shape[0]
@@ -322,10 +315,7 @@ class LustreFilesystem:
             if nbytes <= 0:
                 return
             plan = self.plan_for(handle, offset, nbytes)
-            end = self.apply_plan(
-                plan, self.env._now_tick,
-                self._chain_ticks, self._busy, self._moved,
-            )
+            end = self.apply_plan(plan)
             if end > 0:
                 yield self.env.timeout_at_tick(end)
             return

@@ -122,13 +122,10 @@ class BandwidthPipe:
     def claim_frozen(self, nbytes: float, now_tick: int) -> int:
         """Arithmetically claim the frozen FIFO slot; the completion tick.
 
-        The event-free core of the frozen :meth:`transmit` path, exposed
-        so batch-actor compilers can run a whole chain of transfers as
-        integer arithmetic: same stats additions, same
-        ``max(chain end, arrival) + quantized duration`` completion
-        tick, no events.  Callers must present arrivals in the order
-        the per-rank run's claims would occur (FIFO claim order is call
-        order); ``now_tick`` is the arrival tick of this transfer.
+        The event-free core of the frozen :meth:`transmit` path: the
+        stats additions and the ``max(chain end, arrival) + quantized
+        duration`` completion tick, no events.  FIFO claim order is
+        call order; ``now_tick`` is the arrival tick of this transfer.
         """
         duration = nbytes / self.rate
         self.bytes_moved += nbytes

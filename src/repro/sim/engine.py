@@ -326,52 +326,6 @@ class Environment:
             buckets[tick] = bucket
         return event
 
-    def schedule_batch(self, actions) -> Event:
-        """Schedule a precompiled batch of ``(tick, fn)`` actions at once.
-
-        The grouped-timeout primitive behind the vectorized batch
-        actors: a compiler that has already resolved a whole run's
-        event arithmetic hands over its action list — absolute ticks
-        paired with zero-argument side-effect callbacks, sorted
-        non-decreasing — and gets back the final event to yield on.
-        Consecutive actions at the same tick share one pooled event
-        (their callbacks run in list order, which the compiler arranged
-        to match the per-rank run's same-tick FIFO order), so a whole
-        group phase costs a single event instead of one event per rank
-        per hop.  Ticks must start at or after ``now`` and never
-        decrease; violating either is a programming error in the
-        compiler, not a recoverable condition.
-        """
-        last: Optional[Event] = None
-        prev_tick = self._now_tick
-        free = self._free
-        for tick, fn in actions:
-            if tick < prev_tick:
-                raise ValueError(
-                    f"schedule_batch: tick {tick} precedes {prev_tick}"
-                )
-            callback = (lambda _e, _fn=fn: _fn())
-            if last is not None and tick == prev_tick:
-                last.callbacks.append(callback)
-                continue
-            prev_tick = tick
-            if free:
-                event = free.pop()
-                event.callbacks = [callback]
-                event._value = None
-            else:
-                event = _PooledEvent.__new__(_PooledEvent)
-                event.env = self
-                event.callbacks = [callback]
-                event._value = None
-                event._ok = True
-                event._defused = False
-            self._insert(tick, event)
-            last = event
-        if last is None:
-            raise ValueError("schedule_batch: empty action list")
-        return last
-
     def event(self) -> Event:
         """A fresh, untriggered event."""
         return Event(self)

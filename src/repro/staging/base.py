@@ -242,15 +242,6 @@ class StagingLibrary:
     name = "abstract"
     #: whether the method deploys stand-alone staging server processes
     has_servers = False
-    #: whether :meth:`batch_plan` should also be consulted when the
-    #: clustering pass found no proper subgroup split: the driver then
-    #: offers the trivial full-group plan (every rank its own
-    #: representative, groups=1), which is exactly the regime where the
-    #: contended-path compilers (shared metadata CPUs, MDS queues,
-    #: point-to-point stones) can still prove a deterministic grant
-    #: order.  Stays False for libraries whose compiler needs a real
-    #: cluster split.
-    batch_full_group = False
 
     def __init__(
         self,
@@ -307,8 +298,6 @@ class StagingLibrary:
         self.recovery_seconds: float = 0.0
         #: chaos callbacks fired with the running put count
         self._put_watchers: List = []
-        #: why :meth:`batch_plan` last declined (None until it runs)
-        self.batch_decline: Optional[str] = None
 
     # ------------------------------------------------------------ setup
 
@@ -599,39 +588,6 @@ class StagingLibrary:
         analysis, no clustering.
         """
         return None
-
-    # ---------------------------------------------------- batch actors
-
-    def batch_plan(
-        self,
-        plan: ClusterPlan,
-        write_regions: List[Region],
-        read_regions: List[Region],
-    ):
-        """Certify the engaged clustered ``plan`` for batch compilation.
-
-        Returns a :class:`~repro.staging.batch.BatchPlan` only when the
-        library can *compile* the representative chains — replace the
-        per-rank generator machinery with one precomputed action
-        schedule (see :mod:`repro.staging.batch`) — and prove the result
-        byte-identical.  The default declines: a library without a
-        ``batch_step`` compiler always runs its exact per-rank chains.
-        :attr:`batch_decline` records the reason for the driver.
-        """
-        self.batch_decline = f"batch: {self.name} has no batch_step path"
-        return None
-
-    def batch_step(self, bplan, ctx):
-        """Compile the whole run into a :class:`~repro.staging.batch.BatchSchedule`.
-
-        Runs at bootstrap-complete time (runtime state exists), so the
-        checks that need live state happen here; raising
-        :class:`~repro.staging.batch.BatchDecline` before any mutation
-        makes the driver fall back to the per-rank chains in place.
-        """
-        from .batch import BatchDecline
-
-        raise BatchDecline(f"{self.name} has no batch_step path")
 
     # ----------------------------------------------- steady fast-forward
 

@@ -274,24 +274,6 @@ class Sst(StagingLibrary):
                     return None
         return ClusterPlan(sim_reps=k, ana_reps=1, server_reps=0, groups=m)
 
-    # ----------------------------------------------------- batch actors
-
-    def batch_plan(self, plan, write_regions, read_regions):
-        """SST never batch-compiles.
-
-        The bounded step queue couples successive versions across the
-        writer/reader pacing boundary: whether a put blocks (and for
-        how long) depends on when the reader released the slot, so the
-        chains are order-dependent and no static tick recurrence can
-        reproduce them.
-        """
-        self.batch_decline = (
-            "batch: sst's bounded step queue couples successive versions "
-            "across the writer/reader pacing boundary; chains are "
-            "order-dependent"
-        )
-        return None
-
     # --------------------------------------------------------------- put
 
     def put(

@@ -21,10 +21,9 @@ from ..hpc.cluster import Cluster
 from ..hpc.failures import HpcError
 from ..hpc.machines import MachineSpec, get_machine
 from ..sim import Environment, TimeSeries
-from ..sim.engine import EXACT_TICK_LIMIT, _TICK, _TICK_SCALE
+from ..sim.engine import EXACT_TICK_LIMIT, _TICK
 from ..staging import calibration as cal
 from ..staging.base import ClusterPlan, StagingLibrary
-from ..staging.batch import BatchContext, BatchDecline
 from ..staging.decomposition import application_decomposition
 from ..staging.factory import make_library
 from ..staging.ndarray import Variable
@@ -411,10 +410,6 @@ class RunResult:
     #: run silently fell back to a stricter mode (None when the request
     #: engaged as asked, or nothing was requested)
     fidelity_fallback: Optional[str] = None
-    #: why the batch-actor compilation did not engage on a clustered run
-    #: (None when it engaged — fidelity reads "clustered+batch" — or the
-    #: run never reached the batch gate without asking for it)
-    batch_fallback: Optional[str] = None
     #: inputs echoed into the result so consumers never need the live
     #: ``library`` (which is stripped from pickled/worker-shipped results)
     variable_nbytes: int = 0
@@ -485,7 +480,6 @@ def run_coupled(
     fidelity: str = "exact",
     fault_plan=None,
     recovery=None,
-    batch_actors: Optional[bool] = None,
     fork_host=None,
 ) -> RunResult:
     """Run one coupled workflow configuration end to end.
@@ -519,17 +513,6 @@ def run_coupled(
     library declines a certificate or no boundary pair matches;
     ``RunResult.fidelity_fallback`` records why.
 
-    ``batch_actors`` steers the vectorized batch-actor engine (see
-    :mod:`repro.staging.batch`): on an engaged clustered run the
-    library may compile the whole step loop into one precomputed action
-    schedule instead of per-rank generator chains — byte-identical
-    results, far fewer events.  ``None`` (default) tries it wherever
-    clustered engaged and falls back silently; ``False`` disables it;
-    ``True`` additionally records in ``RunResult.batch_fallback`` why
-    it could not engage.  When it engages, ``RunResult.fidelity`` reads
-    ``"clustered+batch"`` and it supersedes the steady fast-forward
-    (the whole run is already closed-form).
-
     ``fork_host`` (a :class:`repro.core.forkpoint.ChaosForkHost`) runs
     this configuration as a clean *trunk* that ``os.fork()``\\ s a child
     process at each registered fault trigger; the children inject their
@@ -559,7 +542,7 @@ def run_coupled(
         machine, workflow, method, nsim, nana, steps, transport,
         num_servers, shared_nodes, variable, sim_step_seconds,
         ana_step_seconds, topology_overrides, config, app_axis,
-        fidelity, fault_plan, recovery, batch_actors,
+        fidelity, fault_plan, recovery,
     )
     var = point["variable"]
     sim_step = point["sim_step_seconds"]
@@ -626,8 +609,7 @@ def run_coupled(
             _execute(
                 env, cluster, library, result, var, spec, sim_step, ana_step,
                 steps, axis, nsim, nana, shared_nodes, topology_overrides,
-                trace, run_fidelity, fault_plan, recovery, batch_actors,
-                fork_host,
+                trace, run_fidelity, fault_plan, recovery, fork_host,
             )
         except HpcError as exc:
             result.failure = f"{type(exc).__name__}: {exc}"
@@ -705,7 +687,7 @@ def _resolve_point(
     machine, workflow, method, nsim, nana, steps, transport,
     num_servers, shared_nodes, variable, sim_step_seconds,
     ana_step_seconds, topology_overrides, config, app_axis,
-    fidelity, fault_plan, recovery, batch_actors,
+    fidelity, fault_plan, recovery,
 ):
     """Normalize one ``run_coupled`` call to its resolved point.
 
@@ -735,7 +717,6 @@ def _resolve_point(
         topology_overrides=merged_overrides, config=config,
         app_axis=axis, fidelity=fidelity,
         fault_plan=fault_plan, recovery=recovery,
-        batch_actors=batch_actors,
     )
     return machine_spec, spec, point
 
@@ -746,7 +727,6 @@ def point_key(
     shared_nodes=False, variable=None, sim_step_seconds=None,
     ana_step_seconds=None, topology_overrides=None, config=None,
     app_axis=None, fidelity="exact", fault_plan=None, recovery=None,
-    batch_actors=None,
 ) -> Optional[str]:
     """The run-cache key one ``run_coupled`` call would use.
 
@@ -757,7 +737,7 @@ def point_key(
         machine, workflow, method, nsim, nana, steps, transport,
         num_servers, shared_nodes, variable, sim_step_seconds,
         ana_step_seconds, topology_overrides, config, app_axis,
-        fidelity, fault_plan, recovery, batch_actors,
+        fidelity, fault_plan, recovery,
     )
     inputs = {k: v for k, v in point.items() if k not in ("machine", "workflow")}
     return _cache_key(machine_spec=machine_spec, spec=spec, **inputs)
@@ -812,7 +792,6 @@ def _execute(
     fidelity: str = "exact",
     fault_plan=None,
     recovery=None,
-    batch_actors: Optional[bool] = None,
     fork_host=None,
 ) -> None:
     machine = cluster.spec
@@ -880,62 +859,6 @@ def _execute(
     ana_count = plan.ana_reps if plan is not None else ana_actors
     result.fidelity = "clustered" if plan is not None else "exact"
 
-    # Batch actors: compile the whole step loop into one precomputed
-    # action schedule when the engaged clustered plan also certifies
-    # batch-compilable (see repro.staging.batch).  Traced runs need
-    # every hop, chaos/recovery mutate the chains mid-run, and without
-    # a clustered plan there is no proven representative to compile.
-    bplan = None
-    if batch_actors is not False:
-        if trace is not None:
-            if batch_actors:
-                result.batch_fallback = "batch: traced run records every hop"
-        elif fault_plan is not None:
-            if batch_actors:
-                result.batch_fallback = (
-                    "batch: fault injection mutates chains mid-run"
-                )
-        elif recovery is not None:
-            if batch_actors:
-                result.batch_fallback = (
-                    "batch: recovery policy arms mid-run behaviour"
-                )
-        elif library is None:
-            if batch_actors:
-                result.batch_fallback = (
-                    "batch: compute-only baseline has no chains to compile"
-                )
-        elif plan is None:
-            if library.batch_full_group and clustered_req:
-                # Contended-path libraries compile even without a proper
-                # subgroup split: when clustering was *requested* but
-                # declined, the trivial full-group plan (groups=1, every
-                # rank a representative) is offered to the certificate
-                # directly.  It stays local to this gate — ``plan``
-                # itself must remain None so a declining run keeps its
-                # honest "exact"/"steady" fidelity label — and an
-                # unrequested clustering never compiles (a plain
-                # "steady"/"exact" request means exactly that).
-                full_group = ClusterPlan(
-                    sim_reps=sim_actors,
-                    ana_reps=ana_actors,
-                    server_reps=topo.server_actors if library.has_servers else 0,
-                    groups=1,
-                )
-                bplan = library.batch_plan(
-                    full_group, write_regions, read_regions
-                )
-                if bplan is None:
-                    result.batch_fallback = library.batch_decline
-            elif batch_actors:
-                result.batch_fallback = (
-                    "batch: clustered fidelity did not engage"
-                )
-        else:
-            bplan = library.batch_plan(plan, write_regions, read_regions)
-            if bplan is None:
-                result.batch_fallback = library.batch_decline
-
     sim_trackers = [
         placement.node_of("simulation", i).process_memory(f"simproc{i}")
         for i in range(sim_count)
@@ -956,14 +879,7 @@ def _execute(
     # (e.g. DRC credential retries) the fingerprint cannot vouch for.
     steady = None
     if steady_req:
-        if bplan is not None:
-            # The compiled schedule already replaces every step with
-            # closed-form arithmetic — there is no step loop left to
-            # fast-forward, and nothing cheaper than zero events/step.
-            result.fidelity_fallback = (
-                "steady: superseded by the batch-actor compilation"
-            )
-        elif trace is not None:
+        if trace is not None:
             result.fidelity_fallback = "steady: traced run records every step"
         elif fault_plan is not None:
             result.fidelity_fallback = "steady: fault injection breaks periodicity"
@@ -999,9 +915,8 @@ def _execute(
                 library._steady_tap = []
     if steady_req and steady is None:
         # No orbit will be certified, so no prefix snapshot can be
-        # published either — mirror the reason (traced run, batch
-        # compilation leaving no step loop, library with no
-        # certificate such as discard-mode SST, too few steps).
+        # published either — mirror the reason (traced run, library
+        # with no certificate such as discard-mode SST, too few steps).
         result.fork_fallback = result.fidelity_fallback
 
     # Per-step-invariant compute costs, hoisted out of the actor loops.
@@ -1032,12 +947,6 @@ def _execute(
                     library.client_buffer_mult * bytes_per_sim_proc,
                     "staging-lib",
                 )
-        yield from sim_loop(i, tracker, persistent_buffer)
-
-    def sim_loop(i: int, tracker, persistent_buffer):
-        # The step-loop body, shared by the per-rank actors above and
-        # the group actor's runtime-decline fallback below.
-        name = f"sim{i}"
         for step in range(steps):
             if steady is not None and steady.stop(name, step):
                 return  # remaining steps are replayed by translation
@@ -1075,10 +984,6 @@ def _execute(
         mark(name, "init", t0)
         if library is not None:
             tracker.allocate(cal.CLIENT_LIB_BASE, "staging-lib")
-        yield from ana_loop(j, tracker)
-
-    def ana_loop(j: int, tracker):
-        name = f"ana{j}"
         for step in range(steps):
             if steady is not None and steady.stop(name, step):
                 return  # remaining steps are replayed by translation
@@ -1108,78 +1013,9 @@ def _execute(
                 steady.record(name, step, phases)
         finish["ana"] = max(finish["ana"], env.now)
 
-    # Batch dispatch: one group actor stands in for every per-rank
-    # generator.  It replays the per-rank boot-time allocations in the
-    # same per-tracker order (each client actor owns its node under the
-    # certified plans, so cross-tracker interleaving is unobservable),
-    # hands the library a compilation context, and either schedules the
-    # compiled actions or — on a runtime decline, before any mutation —
-    # spawns the exact per-rank step loops in place.
-    batch_state = {"engaged": False, "fallback": None}
-
-    def group_actor():
-        for i in range(sim_count):
-            sim_trackers[i].allocate(
-                spec.sim_calc_bytes(bytes_per_sim_proc), "calculation"
-            )
-        for j in range(ana_count):
-            ana_trackers[j].allocate(
-                spec.ana_calc_bytes(bytes_per_ana_proc), "calculation"
-            )
-        yield boot_done
-        persistent = []
-        for i in range(sim_count):
-            tracker = sim_trackers[i]
-            tracker.allocate(cal.CLIENT_LIB_BASE, "staging-lib")
-            buffer = None
-            if library.client_buffer_persistent:
-                buffer = tracker.allocate(
-                    library.client_buffer_mult * bytes_per_sim_proc,
-                    "staging-lib",
-                )
-            persistent.append(buffer)
-        for j in range(ana_count):
-            ana_trackers[j].allocate(cal.CLIENT_LIB_BASE, "staging-lib")
-        ctx = BatchContext(
-            sim_count=sim_count,
-            ana_count=ana_count,
-            steps=steps,
-            boot_tick=env._now_tick,
-            sim_compute_ticks=round(sim_compute * _TICK_SCALE),
-            ana_compute_ticks=round(ana_compute * _TICK_SCALE),
-            write_regions=write_regions,
-            read_regions=read_regions,
-            sim_trackers=sim_trackers,
-            ana_trackers=ana_trackers,
-            persistent_buffers=persistent,
-            sim_buffer_bytes=library.client_buffer_mult * bytes_per_sim_proc,
-            ana_buffer_bytes=library.client_buffer_mult * bytes_per_ana_proc,
-        )
-        try:
-            schedule = library.batch_step(bplan, ctx)
-        except BatchDecline as exc:
-            batch_state["fallback"] = str(exc)
-            loops = [
-                env.process(sim_loop(i, sim_trackers[i], persistent[i]))
-                for i in range(sim_count)
-            ]
-            loops += [
-                env.process(ana_loop(j, ana_trackers[j]))
-                for j in range(ana_count)
-            ]
-            yield env.all_of(loops)
-            return
-        batch_state["engaged"] = True
-        finish["sim"] = schedule.sim_finish_tick * _TICK
-        finish["ana"] = schedule.ana_finish_tick * _TICK
-        yield env.schedule_batch(schedule.actions)
-
     procs = [env.process(booter(env))]
-    if bplan is not None:
-        procs.append(env.process(group_actor()))
-    else:
-        procs += [env.process(sim_actor(i)) for i in range(sim_count)]
-        procs += [env.process(ana_actor(j)) for j in range(ana_count)]
+    procs += [env.process(sim_actor(i)) for i in range(sim_count)]
+    procs += [env.process(ana_actor(j)) for j in range(ana_count)]
 
     def main(env):
         yield env.all_of(procs)
@@ -1216,23 +1052,6 @@ def _execute(
         fork_host.drive(env, done, library, cluster)
     else:
         env.run(until=done)
-
-    if bplan is not None:
-        if batch_state["engaged"]:
-            result.fidelity = "clustered+batch"
-        else:
-            # Runtime decline: the per-rank step loops ran in place.
-            result.batch_fallback = batch_state["fallback"]
-            if result.fidelity_fallback is not None:
-                mirrored = result.fork_fallback == result.fidelity_fallback
-                result.fidelity_fallback = (
-                    "steady: skipped for a batch compilation that then "
-                    "declined at runtime"
-                )
-                if mirrored:
-                    # The prefix-snapshot reason was mirrored from the
-                    # pre-run fidelity fallback; keep them in step.
-                    result.fork_fallback = result.fidelity_fallback
 
     steady_end = None
     fork_partial = None

@@ -172,7 +172,6 @@ def _spec(**overrides):
         shared_nodes=False, variable=None, sim_step_seconds=None,
         ana_step_seconds=None, topology_overrides=None, config=None,
         app_axis=None, fidelity="steady", fault_plan=None, recovery=None,
-        batch_actors=None,
     )
     kw.update(overrides)
     _machine_spec, _spec_obj, point = driver._resolve_point(**kw)

@@ -44,14 +44,13 @@ class TestSteadyEquivalence:
                       steps=8)
         exact = fresh_run(fidelity="exact", **kwargs)
         composed = fresh_run(fidelity="steady+clustered", **kwargs)
-        # "clustered+batch": a requested clustering that declined can
-        # still compile as the full contended group (batch supersedes
-        # the steady fast-forward) — bit-identity is asserted below
-        # either way.
         assert composed.fidelity in (
-            "steady+clustered", "steady", "clustered", "clustered+batch",
-            "exact"
+            "steady+clustered", "steady", "clustered", "exact"
         )
+        if (method, machine) in (("mpiio", "titan"), ("dimes", "cori")):
+            # Clustering declines on these contended paths; the steady
+            # fast-forward must still engage on the full group.
+            assert composed.fidelity == "steady"
         assert_identical(exact, composed, ignore=("fidelity",))
 
     def test_compute_only_baseline_fast_forwards(self):
