@@ -32,15 +32,23 @@ optimizations move.  Modes:
   byte-identity asserted on every arm, under the ``fork`` key;
 * ``--gate PATH``  — the CI perf gate: re-measure the ``--full``
   figures, the chaos campaign and the checkpoint-fork A/B, exit
-  non-zero if a figure regresses more than 25 % in wall time, coupled
-  events/sec drops more than 25 % (figures or chaos) against the
-  committed baseline at ``PATH``, ``fig2a_full`` falls below the
-  absolute :data:`COUPLED_EPS_FLOOR`, or the fork A/B misses its
+  non-zero if a figure's or the campaign's event count differs from
+  the committed baseline at ``PATH`` at all, its normalized wall time
+  grows more than :data:`GATE_TOLERANCE`, or the fork A/B misses its
   absolute :data:`FORK_GATE_FLOORS`;
 * ``--profile FIG`` — run one figure (any ``--full`` or study
   experiment name) under :mod:`cProfile` and write the top 25
   functions by cumulative time to ``profile-<fig>.txt`` next to the
-  JSON report — the first stop when a figure's events/sec drops.
+  JSON report — the first stop when a figure's wall time grows.
+
+Every figure and the chaos campaign run :data:`REPEATS` times from a
+cold run cache.  The recorded ``seconds`` is the median over the
+repeats, each scaled to the nominal speed of ``perfbench/speed.py``'s
+reference kernel timed in the same process during that repeat (the
+host's speed drifts by more than any useful tolerance); ``spread`` is
+the quartile spread over the median and ``raw_seconds`` the unscaled
+median.  Event counts are deterministic, so every repeat must count
+the same number.
 
 Schema 2 adds ``events_per_second`` per figure — the
 machine-independent throughput number (wall seconds vary with the
@@ -59,7 +67,11 @@ clamp per ``jobs_sweep`` level (skipping levels the clamp makes
 redundant instead of timing pure worker-spawn overhead) and adds the
 contended-path compilers (dimes, mpiio, flexpath) to ``batch_ab``.
 Schema 9 drops the ``batch_ab`` section with the batch-actor engine
-it measured.
+it measured.  Schema 10 records figure and chaos wall times as
+speed-normalized medians of repeats (``seconds``, ``raw_seconds``,
+``spread``, ``repeats``) and drops ``events_per_second``: the gate
+checks event counts exactly instead, so a change that removes events
+is no longer read as a throughput loss.
 
 The run cache is cleared before every experiment so timings measure
 simulation, not memoization.  Results merge into the output JSON, so
@@ -75,10 +87,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import random
+import statistics
 import sys
 import time
 from heapq import heappop, heappush
@@ -87,6 +101,25 @@ from typing import Callable, Dict, List
 from repro.core import figures, runcache
 from repro.core.study import Study
 from repro.sim.engine import Environment
+
+
+def _load_speed():
+    """``perfbench/speed.py``, the benchmark's frozen reference kernel."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "perfbench", "speed.py")
+    spec = importlib.util.spec_from_file_location("perfbench_speed", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+speed = _load_speed()
+
+#: cold runs behind every recorded wall time (their median is kept)
+REPEATS = 5
+#: seconds between reference-kernel samples: fine enough that even the
+#: 0.15 s fig_sst run is scaled by about ten samples, not one
+SAMPLE_PERIOD_S = 0.02
 
 
 class EventCounter:
@@ -108,6 +141,39 @@ class EventCounter:
 
     def __exit__(self, *exc) -> None:
         Environment.step = self._orig
+
+
+def measure(runner: Callable[[], object]) -> Dict[str, object]:
+    """Run ``runner`` :data:`REPEATS` times cold; exact events, median wall.
+
+    Each repeat's wall time is scaled by the reference kernel's mean
+    speed sampled during that repeat (sampling time excluded), so a
+    host running slower overall does not read as a slower program.
+    """
+    walls: List[float] = []
+    raws: List[float] = []
+    counts = set()
+    for _ in range(REPEATS):
+        runcache.clear()
+        with EventCounter() as counter:
+            with speed.Sampler(SAMPLE_PERIOD_S) as sampler:
+                start = time.perf_counter()
+                runner()
+                raw = time.perf_counter() - start - sampler.spent
+        raws.append(raw)
+        walls.append(raw * sampler.speed())
+        counts.add(counter.count)
+    if len(counts) != 1:
+        raise RuntimeError(f"event counts differ between repeats: {counts}")
+    median = statistics.median(walls)
+    q1, _, q3 = statistics.quantiles(walls, n=4)
+    return {
+        "events": counts.pop(),
+        "seconds": round(median, 3),
+        "raw_seconds": round(statistics.median(raws), 3),
+        "spread": round((q3 - q1) / median, 3),
+        "repeats": REPEATS,
+    }
 
 
 def experiments(mode: str) -> Dict[str, Callable[[], object]]:
@@ -211,24 +277,15 @@ def chaos_bench(seed: int = 7) -> Dict[str, object]:
 
     Runs with ``fork=False``: the fork pass moves cell execution into
     ``os.fork`` children this process's event counter cannot see, so
-    its events/sec would be meaningless here.  The fork path is
+    its event count would be incomplete here.  The fork path is
     measured on its own terms by :func:`fork_ab_bench`.
     """
     from repro.chaos import run_campaign
 
-    runcache.clear()
-    with EventCounter() as counter:
-        start = time.perf_counter()
-        run_campaign(seed=seed, fork=False)
-        elapsed = time.perf_counter() - start
-    print(f"chaos(seed={seed}) {elapsed:8.2f} s  {counter.count:>12,} events")
-    return {
-        "seed": seed,
-        "seconds": round(elapsed, 3),
-        "events": counter.count,
-        "events_per_second": round(counter.count / elapsed, 1)
-        if elapsed > 0 else 0.0,
-    }
+    entry = measure(lambda: run_campaign(seed=seed, fork=False))
+    print(f"chaos(seed={seed}) {entry['seconds']:8.2f} s  "
+          f"{entry['events']:>12,} events  (spread {entry['spread']:.1%})")
+    return {"seed": seed, **entry}
 
 
 # ---------------------------------------------------- engine microbench
@@ -683,16 +740,9 @@ def fork_ab_bench(seed: int = 7, repeats: int = 3) -> Dict[str, object]:
     return results
 
 
-#: CI fails when a gated figure's wall time exceeds baseline by this
-GATE_TOLERANCE = 0.25
+#: CI fails when a gated median wall time exceeds baseline by this
+GATE_TOLERANCE = 0.2
 GATED_FIGURES = ("fig2a_full", "fig2b_full", "fig_sst", "fig_pmem")
-
-#: absolute coupled-throughput floor for fig2a_full (ev/s): gates the
-#: per-event cost of the per-rank step loop every Figure 2 cell runs.
-#: Measured on a 2-CPU host: 185.6k ev/s in a ``--gate`` run (0.3 %
-#: above the floor) and 192.9k in a ``--full`` run, so the gate flips
-#: on noise; ROADMAP item 1 tracks making it repeat and normalize.
-COUPLED_EPS_FLOOR = 185_000
 
 
 def perf_gate(
@@ -702,66 +752,39 @@ def perf_gate(
 ) -> int:
     """Compare measured perf against the committed baseline.
 
-    Figures gate on wall time (must not grow past the tolerance) and
-    on coupled events/sec (must not drop past it, and ``fig2a_full``
-    must additionally clear the absolute :data:`COUPLED_EPS_FLOOR`);
-    the chaos campaign gates on events/sec.  Returns the number of
-    regressions beyond :data:`GATE_TOLERANCE`.  A missing baseline
-    entry is a hard failure too — the gate must never pass vacuously.
+    Each gated figure and the chaos campaign must process exactly the
+    baseline's event count (events are deterministic: any change must
+    be explained and re-recorded), and its speed-normalized median wall
+    time must not grow past :data:`GATE_TOLERANCE`.  Returns the number
+    of failed checks.  A missing or pre-schema-10 baseline entry is a
+    hard failure too — the gate must never pass vacuously.
     """
     with open(baseline_path) as fh:
         payload = json.load(fh)
-    baseline = payload.get("figures", {})
+    if payload.get("schema", 0) < 10:
+        print(f"GATE FAIL {baseline_path}: schema {payload.get('schema')} "
+              f"predates normalized medians; re-record it")
+        return 1
     failures = 0
-    for ident in GATED_FIGURES:
-        if ident not in baseline:
-            print(f"GATE FAIL {ident}: no baseline in {baseline_path}")
+    entries = [(ident, payload.get("figures", {}).get(ident), measured[ident])
+               for ident in GATED_FIGURES]
+    entries.append(("chaos", payload.get("chaos"), measured_chaos))
+    for name, base, now in entries:
+        if not base:
+            print(f"GATE FAIL {name}: no baseline in {baseline_path}")
             failures += 1
             continue
-        base = baseline[ident]["seconds"]
-        now = measured[ident]["seconds"]
-        ratio = now / base if base > 0 else float("inf")
-        verdict = "ok" if ratio <= 1.0 + GATE_TOLERANCE else "GATE FAIL"
-        print(f"{verdict:9s} {ident}: {now:.2f}s vs baseline {base:.2f}s "
-              f"({ratio:.0%} of baseline, tolerance "
-              f"{1.0 + GATE_TOLERANCE:.0%})")
-        if ratio > 1.0 + GATE_TOLERANCE:
-            failures += 1
-        base_eps = baseline[ident].get("events_per_second")
-        if not base_eps:
-            print(f"GATE FAIL {ident}: no events_per_second baseline in "
-                  f"{baseline_path}")
-            failures += 1
-            continue
-        now_eps = measured[ident]["events_per_second"]
-        eps_ratio = now_eps / base_eps
-        verdict = "ok" if eps_ratio >= 1.0 - GATE_TOLERANCE else "GATE FAIL"
-        print(f"{verdict:9s} {ident}: {now_eps:,.0f} ev/s vs baseline "
-              f"{base_eps:,.0f} ev/s ({eps_ratio:.0%} of baseline, floor "
-              f"{1.0 - GATE_TOLERANCE:.0%})")
-        if eps_ratio < 1.0 - GATE_TOLERANCE:
-            failures += 1
-    if COUPLED_EPS_FLOOR is not None:
-        now_eps = measured["fig2a_full"]["events_per_second"]
-        verdict = "ok" if now_eps >= COUPLED_EPS_FLOOR else "GATE FAIL"
-        print(f"{verdict:9s} fig2a_full: {now_eps:,.0f} ev/s vs absolute "
-              f"floor {COUPLED_EPS_FLOOR:,.0f} ev/s")
-        if now_eps < COUPLED_EPS_FLOOR:
-            failures += 1
-    base_eps = payload.get("chaos", {}).get("events_per_second")
-    if not base_eps:
-        print(f"GATE FAIL chaos: no events_per_second baseline in "
-              f"{baseline_path}")
-        failures += 1
-    else:
-        now_eps = measured_chaos["events_per_second"]
-        ratio = now_eps / base_eps
-        verdict = "ok" if ratio >= 1.0 - GATE_TOLERANCE else "GATE FAIL"
-        print(f"{verdict:9s} chaos: {now_eps:,.0f} ev/s vs baseline "
-              f"{base_eps:,.0f} ev/s ({ratio:.0%} of baseline, floor "
-              f"{1.0 - GATE_TOLERANCE:.0%})")
-        if ratio < 1.0 - GATE_TOLERANCE:
-            failures += 1
+        ok = now["events"] == base["events"]
+        print(f"{'ok' if ok else 'GATE FAIL':9s} {name}: {now['events']:,} "
+              f"events vs baseline {base['events']:,} (must match exactly)")
+        failures += not ok
+        ratio = now["seconds"] / base["seconds"]
+        ok = ratio <= 1.0 + GATE_TOLERANCE
+        print(f"{'ok' if ok else 'GATE FAIL':9s} {name}: {now['seconds']:.2f}s "
+              f"vs baseline {base['seconds']:.2f}s ({ratio:.0%} of baseline, "
+              f"tolerance {1.0 + GATE_TOLERANCE:.0%}; median of "
+              f"{now['repeats']}, spread {now['spread']:.1%})")
+        failures += not ok
     return failures
 
 
@@ -842,11 +865,11 @@ def main(argv=None) -> int:
                             "profile-<fig>.txt (no JSON report)")
     group.add_argument("--gate", metavar="BASELINE",
                        help="CI perf gate: rerun the --full figures, the "
-                            "chaos campaign and the fork A/B; fail on a "
-                            ">25%% wall-time regression (figures), a "
-                            ">25%% events/sec drop (chaos) vs the "
-                            "committed BASELINE json, or a fork speedup "
-                            "below its absolute floor")
+                            "chaos campaign and the fork A/B; fail on any "
+                            "event-count change or a >20%% normalized "
+                            "median wall-time regression vs the committed "
+                            "BASELINE json, or a fork speedup below its "
+                            "absolute floor")
     parser.add_argument("-o", "--output", default="BENCH_study.json",
                         help="where to write the JSON report")
     args = parser.parse_args(argv)
@@ -854,7 +877,7 @@ def main(argv=None) -> int:
     if args.profile:
         return profile_figure(args.profile, args.output)
 
-    report: Dict[str, object] = {"schema": 9, "cpus": os.cpu_count()}
+    report: Dict[str, object] = {"schema": 10, "cpus": os.cpu_count()}
     if args.jobs_sweep:
         report["mode"] = "jobs-sweep"
         report["jobs_sweep"] = jobs_sweep()
@@ -888,19 +911,12 @@ def main(argv=None) -> int:
         report["figures"] = {}
         total = 0.0
         for ident, runner in experiments(mode).items():
-            runcache.clear()
-            with EventCounter() as counter:
-                start = time.perf_counter()
-                runner()
-                elapsed = time.perf_counter() - start
-            total += elapsed
-            report["figures"][ident] = {
-                "seconds": round(elapsed, 3),
-                "events": counter.count,
-                "events_per_second": round(counter.count / elapsed, 1)
-                if elapsed > 0 else 0.0,
-            }
-            print(f"{ident:12s} {elapsed:8.2f} s  {counter.count:>12,} events")
+            entry = measure(runner)
+            total += entry["seconds"]
+            report["figures"][ident] = entry
+            print(f"{ident:12s} {entry['seconds']:8.2f} s  "
+                  f"{entry['events']:>12,} events  "
+                  f"(spread {entry['spread']:.1%})")
         if args.gate:
             report["chaos"] = chaos_bench()
             total += report["chaos"]["seconds"]

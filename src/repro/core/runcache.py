@@ -63,8 +63,11 @@ from typing import Any, Dict, Optional
 #: (steady-boundary snapshots keyed by the point minus steps/fault
 #: plan); pre-fork pickles miss the fields.
 #: 7 -> 8: the batch-actor engine is gone — its switch left the key
-#: inputs and its decline reason left the results)
-SCHEMA_VERSION = 8
+#: inputs and its decline reason left the results.
+#: 8 -> 9: inter-node NIC crossings claim a pipe at the instant the
+#: transfer reaches it, which reorders some same-tick ties (cori runs
+#: with shared nodes); those cached timings are stale)
+SCHEMA_VERSION = 9
 
 
 def _canonical(value: Any) -> Any:

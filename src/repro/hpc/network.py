@@ -317,6 +317,15 @@ class Link:
     def send(self, nbytes: float, tail_ticks: int = 0) -> Generator:
         """Process: move ``nbytes`` from src to dst.
 
+        Inter-node, the one-way latency comes first, then both pipe
+        crossings run inline in the caller's generator (``yield from``,
+        no spawned process): a transfer claims each pipe at the instant
+        it reaches it, so same-tick ties at a NIC resolve in the order
+        the transfers' triggering events fire.  On frozen pipes a send
+        is three events — the latency pause and one completion per
+        pipe; unfrozen pipes keep the request/grant path, so
+        :meth:`BandwidthPipe.degrade` still applies at grant time.
+
         ``tail_ticks`` rides on the *last* pipe crossing (see
         :meth:`BandwidthPipe.transmit`): pipe hold times and release
         instants are unchanged; only the sender's wake-up is delayed.
@@ -327,5 +336,5 @@ class Link:
             yield from self.src.transmit(effective, tail_ticks)
             return
         yield self.env.pause(self.latency)
-        yield self.env.process(self.src.transmit(effective))
-        yield self.env.process(self.dst.transmit(effective, tail_ticks))
+        yield from self.src.transmit(effective)
+        yield from self.dst.transmit(effective, tail_ticks)
