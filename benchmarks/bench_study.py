@@ -25,17 +25,11 @@ optimizations move.  Modes:
   import + serial simulation) against a resident daemon's first
   (cache-cold) and warm (cache-hot) submissions of the same figure,
   plus the warm pool's resident events/sec, under the ``serve`` key;
-* ``--fork-ab``    — the checkpoint-fork A/B: the chaos campaign with
-  the fork pass off vs on (plus a resident resubmission), one
-  late-fault chaos cell cold vs ``os.fork``-ed off a clean trunk, and
-  a steady step-count column cold vs arithmetic prefix resume —
-  byte-identity asserted on every arm, under the ``fork`` key;
 * ``--gate PATH``  — the CI perf gate: re-measure the ``--full``
-  figures, the chaos campaign and the checkpoint-fork A/B, exit
-  non-zero if a figure's or the campaign's event count differs from
-  the committed baseline at ``PATH`` at all, its normalized wall time
-  grows more than :data:`GATE_TOLERANCE`, or the fork A/B misses its
-  absolute :data:`FORK_GATE_FLOORS`;
+  figures and the chaos campaign, exit non-zero if a figure's or the
+  campaign's event count differs from the committed baseline at
+  ``PATH`` at all, or its normalized wall time grows more than
+  :data:`GATE_TOLERANCE`;
 * ``--profile FIG`` — run one figure (any ``--full`` or study
   experiment name) under :mod:`cProfile` and write the top 25
   functions by cumulative time to ``profile-<fig>.txt`` next to the
@@ -71,7 +65,8 @@ it measured.  Schema 10 records figure and chaos wall times as
 speed-normalized medians of repeats (``seconds``, ``raw_seconds``,
 ``spread``, ``repeats``) and drops ``events_per_second``: the gate
 checks event counts exactly instead, so a change that removes events
-is no longer read as a throughput loss.
+is no longer read as a throughput loss.  Schema 11 drops the ``fork``
+section with the checkpoint-fork layer it measured.
 
 The run cache is cleared before every experiment so timings measure
 simulation, not memoization.  Results merge into the output JSON, so
@@ -89,7 +84,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
-import math
 import os
 import random
 import statistics
@@ -273,16 +267,10 @@ def profile_figure(fig: str, output: str) -> int:
 
 
 def chaos_bench(seed: int = 7) -> Dict[str, object]:
-    """Wall-clock the chaos campaign (serial, cold cache).
-
-    Runs with ``fork=False``: the fork pass moves cell execution into
-    ``os.fork`` children this process's event counter cannot see, so
-    its event count would be incomplete here.  The fork path is
-    measured on its own terms by :func:`fork_ab_bench`.
-    """
+    """Wall-clock the chaos campaign (serial, cold cache)."""
     from repro.chaos import run_campaign
 
-    entry = measure(lambda: run_campaign(seed=seed, fork=False))
+    entry = measure(lambda: run_campaign(seed=seed))
     print(f"chaos(seed={seed}) {entry['seconds']:8.2f} s  "
           f"{entry['events']:>12,} events  (spread {entry['spread']:.1%})")
     return {"seed": seed, **entry}
@@ -526,220 +514,6 @@ def serve_bench(figure: str = "fig6") -> Dict[str, object]:
     }
 
 
-# ---------------------------------------------------- checkpoint-fork A/B
-
-def _results_identical(a, b) -> bool:
-    """Field-by-field RunResult equality, NaN-aware, fork-metadata blind.
-
-    ``forked``/``fork_fallback`` are provenance, not physics; ``library``
-    is a live object.  TimeSeries lacks ``__eq__`` and aborted runs
-    carry NaN finish times, so both need explicit handling.
-    """
-    import dataclasses
-    import math
-
-    from repro.sim.monitor import TimeSeries
-
-    for f in dataclasses.fields(a):
-        if f.name in ("library", "forked", "fork_fallback"):
-            continue
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, TimeSeries) or isinstance(y, TimeSeries):
-            if x is None or y is None:
-                return False
-            if list(x.times) != list(y.times) or \
-                    list(x.values) != list(y.values):
-                return False
-            continue
-        if isinstance(x, float) and isinstance(y, float):
-            if x != y and not (math.isnan(x) and math.isnan(y)):
-                return False
-            continue
-        if x != y:
-            return False
-    return True
-
-
-#: the steady column: one boundary snapshot serves every steps count
-#: (cori, where the steady certificate engages for every library)
-_FORK_COLUMN_STEPS = (8, 16, 32, 64, 128)
-_FORK_COLUMN_CONFIG = dict(
-    machine="cori", method="dataspaces", nsim=32, nana=16,
-    fidelity="steady",
-)
-
-
-def _export_bytes(export_dir: str) -> Dict[str, bytes]:
-    out = {}
-    for name in sorted(os.listdir(export_dir)):
-        with open(os.path.join(export_dir, name), "rb") as fh:
-            out[name] = fh.read()
-    return out
-
-
-def fork_ab_bench(seed: int = 7, repeats: int = 3) -> Dict[str, object]:
-    """Cold vs checkpoint-forked wall clock, byte-identity asserted.
-
-    Three comparisons, three grains of the same optimization:
-
-    * ``matrix``  — the whole seed-``seed`` chaos campaign with the
-      fork pass off vs on; the exported tables must be byte-identical.
-      Also times a *resubmission* of the forked campaign against the
-      resident cache/prefix state (what a ``repro.serve`` what-if
-      resubmission pays) against full re-simulation of the matrix;
-    * ``cell``    — one late-fault chaos cell at a step count long
-      enough for the shared prefix to dominate: cold pays the clean
-      baseline plus a full faulted run, forked pays one trunk and an
-      ``os.fork`` child that simulates only the post-trigger suffix;
-    * ``column``  — a steady step-count column: cold simulates the
-      warm-up prefix once per steps count, forked snapshots the steady
-      boundary on the first run and serves every other count by
-      arithmetic resume (microseconds).
-
-    Wall times are best-of-``repeats``; identity is asserted on every
-    repeat — forking must never change bytes, only wall-clock.  The
-    first-run ``matrix`` arms are reported for honesty but not gated
-    on speedup: the campaign's 5-step cells cost single milliseconds,
-    the same order as ``os.fork`` itself, and on a single-CPU host
-    (``cpus`` in the report) the children cannot overlap the trunk —
-    the structural wins are the resubmission, the cell and the column.
-    """
-    import shutil
-    import tempfile
-
-    from repro.chaos.campaign import CELL, run_campaign
-    from repro.chaos.faults import FaultEvent, FaultPlan
-    from repro.core import forkpoint
-    from repro.workflows import driver, run_coupled
-
-    results: Dict[str, object] = {}
-
-    # -- matrix: the full campaign, fork pass off vs on ----------------
-    arms: Dict[str, float] = {}
-    exports: Dict[str, Dict[str, bytes]] = {}
-    forks_served = 0
-    resident = math.inf
-    for arm, fork in (("cold", False), ("forked", True)):
-        best = math.inf
-        for _ in range(repeats):
-            runcache.clear()
-            tmp = tempfile.mkdtemp(prefix=f"repro-fork-ab-{arm}-")
-            before = forkpoint.STATS.forks_served
-            start = time.perf_counter()
-            run_campaign(seed=seed, export_dir=tmp, fork=fork)
-            best = min(best, time.perf_counter() - start)
-            forks_served = forkpoint.STATS.forks_served - before
-            exports[arm] = _export_bytes(tmp)
-            if fork:
-                # resubmission against the resident cache/prefix state:
-                # the what-if latency the serve daemon keeps warm
-                start = time.perf_counter()
-                run_campaign(seed=seed, export_dir=tmp, fork=fork)
-                resident = min(resident, time.perf_counter() - start)
-                assert _export_bytes(tmp) == exports[arm], \
-                    "resident resubmission exports diverged"
-            shutil.rmtree(tmp)
-        arms[arm] = best
-    assert exports["cold"] == exports["forked"], \
-        "forked campaign exports diverged from cold"
-    results["matrix"] = {
-        "seed": seed,
-        "cold_seconds": round(arms["cold"], 3),
-        "forked_seconds": round(arms["forked"], 3),
-        "speedup": round(arms["cold"] / arms["forked"], 2),
-        "resident_seconds": round(resident, 3),
-        "resident_speedup": round(arms["cold"] / resident, 2),
-        "forks_served": forks_served,
-        "byte_identical": True,
-    }
-    print(f"fork-ab/matrix  cold {arms['cold']:6.2f} s   forked "
-          f"{arms['forked']:6.2f} s   ({arms['cold'] / arms['forked']:.2f}x, "
-          f"{forks_served} forks)   resident resubmission {resident:6.2f} s "
-          f"({arms['cold'] / resident:.2f}x)")
-
-    # -- cell: one late-fault cell off a shared trunk ------------------
-    # 60 steps with the crash at put 430/480: the shared prefix is ~90%
-    # of the run, the scale at which forking one variant pays even
-    # without a second CPU to overlap the child on.
-    plan = FaultPlan(
-        events=(FaultEvent("server_crash", after_puts=430, target=0),),
-        watchdog=4000.0,
-    )
-    cell_kwargs = dict(machine="titan", method="dataspaces",
-                       **dict(CELL, steps=60))
-    key = driver.point_key(fault_plan=plan, **cell_kwargs)
-    cold_best = fork_best = math.inf
-    for _ in range(repeats):
-        runcache.clear()
-        start = time.perf_counter()
-        baseline = run_coupled(**cell_kwargs)
-        faulted = run_coupled(fault_plan=plan, **cell_kwargs)
-        cold_best = min(cold_best, time.perf_counter() - start)
-
-        runcache.clear()
-        trigger, reason = forkpoint.plan_trigger(plan, key=key)
-        assert trigger is not None, reason
-        host = forkpoint.ChaosForkHost([trigger])
-        start = time.perf_counter()
-        trunk = run_coupled(fork_host=host, **cell_kwargs)
-        collected = host.collect()
-        fork_best = min(fork_best, time.perf_counter() - start)
-        assert not host.declines, host.declines
-        assert _results_identical(trunk, baseline), "trunk != baseline"
-        assert _results_identical(collected[key], faulted), \
-            "forked cell != cold cell"
-    results["cell"] = {
-        "fault": "server_crash",
-        "steps": cell_kwargs["steps"],
-        "cold_seconds": round(cold_best, 3),
-        "forked_seconds": round(fork_best, 3),
-        "speedup": round(cold_best / fork_best, 2),
-        "identical": True,
-    }
-    print(f"fork-ab/cell    cold {cold_best:6.2f} s   forked "
-          f"{fork_best:6.2f} s   ({cold_best / fork_best:.2f}x)")
-
-    # -- column: steps counts off one steady-boundary snapshot ---------
-    cold_runs: Dict[int, object] = {}
-    cold_best = fork_best = math.inf
-    for _ in range(repeats):
-        cold_total = 0.0
-        for steps in _FORK_COLUMN_STEPS:
-            runcache.clear()
-            start = time.perf_counter()
-            cold_runs[steps] = run_coupled(steps=steps, **_FORK_COLUMN_CONFIG)
-            cold_total += time.perf_counter() - start
-        cold_best = min(cold_best, cold_total)
-
-        runcache.clear()
-        start = time.perf_counter()
-        fork_runs = {
-            steps: run_coupled(steps=steps, **_FORK_COLUMN_CONFIG)
-            for steps in _FORK_COLUMN_STEPS
-        }
-        fork_total = time.perf_counter() - start
-        fork_best = min(fork_best, fork_total)
-        for steps in _FORK_COLUMN_STEPS:
-            assert _results_identical(fork_runs[steps], cold_runs[steps]), \
-                f"prefix-restored steps={steps} diverged from cold"
-        restored = [s for s in _FORK_COLUMN_STEPS
-                    if (fork_runs[s].forked or "").startswith("prefix:")]
-        assert len(restored) == len(_FORK_COLUMN_STEPS) - 1, \
-            f"expected all but the first column entry restored: {restored}"
-    results["column"] = {
-        "config": {k: v for k, v in _FORK_COLUMN_CONFIG.items()},
-        "steps": list(_FORK_COLUMN_STEPS),
-        "cold_seconds": round(cold_best, 3),
-        "forked_seconds": round(fork_best, 3),
-        "speedup": round(cold_best / fork_best, 2),
-        "identical": True,
-    }
-    print(f"fork-ab/column  cold {cold_best:6.2f} s   forked "
-          f"{fork_best:6.2f} s   ({cold_best / fork_best:.2f}x, "
-          f"{len(_FORK_COLUMN_STEPS)} steps counts)")
-    return results
-
-
 #: CI fails when a gated median wall time exceeds baseline by this
 GATE_TOLERANCE = 0.2
 GATED_FIGURES = ("fig2a_full", "fig2b_full", "fig_sst", "fig_pmem")
@@ -788,41 +562,6 @@ def perf_gate(
     return failures
 
 
-#: absolute checkpoint-fork gate floors (not baseline-relative: the
-#: A/B's cold arm is re-measured in the same process, so the ratio is
-#: already host-normalized)
-FORK_GATE_FLOORS = {
-    ("matrix", "resident_speedup"): 3.0,
-    ("cell", "speedup"): 1.0,
-    ("column", "speedup"): 3.0,
-}
-
-
-def fork_gate(fork: Dict[str, Dict]) -> int:
-    """Gate the checkpoint-fork A/B on its absolute speedup floors.
-
-    Byte-identity is asserted inside :func:`fork_ab_bench` itself (the
-    bench dies rather than reporting divergent bytes), so the gate
-    checks the recorded flags and the speedup floors.
-    """
-    failures = 0
-    for section, flag in (("matrix", "byte_identical"),
-                          ("cell", "identical"), ("column", "identical")):
-        ok = fork[section].get(flag, False)
-        print(f"{'ok' if ok else 'GATE FAIL':9s} fork/{section}: "
-              f"{flag}={ok}")
-        if not ok:
-            failures += 1
-    for (section, key), floor in FORK_GATE_FLOORS.items():
-        got = fork[section][key]
-        verdict = "ok" if got >= floor else "GATE FAIL"
-        print(f"{verdict:9s} fork/{section}: {key} {got:.2f}x vs floor "
-              f"{floor:.1f}x")
-        if got < floor:
-            failures += 1
-    return failures
-
-
 def _merge_existing(path: str, report: Dict) -> Dict:
     """Keep the other mode's sections when refreshing one of them."""
     try:
@@ -830,7 +569,7 @@ def _merge_existing(path: str, report: Dict) -> Dict:
             existing = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return report
-    for key in ("figures", "jobs_sweep", "chaos", "engine", "serve", "fork"):
+    for key in ("figures", "jobs_sweep", "chaos", "engine", "serve"):
         if key in existing and key not in report:
             report[key] = existing[key]
     return report
@@ -854,22 +593,16 @@ def main(argv=None) -> int:
                        help="serving-layer latency: cold CLI study vs "
                             "first and warm submissions to a resident "
                             "daemon")
-    group.add_argument("--fork-ab", action="store_true",
-                       help="checkpoint-fork A/B: the chaos campaign, one "
-                            "late-fault cell and a steady step-count "
-                            "column, cold vs forked, byte-identity "
-                            "asserted")
     group.add_argument("--profile", metavar="FIG",
                        help="run one figure under cProfile and write the "
                             "top 25 cumulative functions to "
                             "profile-<fig>.txt (no JSON report)")
     group.add_argument("--gate", metavar="BASELINE",
-                       help="CI perf gate: rerun the --full figures, the "
-                            "chaos campaign and the fork A/B; fail on any "
-                            "event-count change or a >20%% normalized "
-                            "median wall-time regression vs the committed "
-                            "BASELINE json, or a fork speedup below its "
-                            "absolute floor")
+                       help="CI perf gate: rerun the --full figures and "
+                            "the chaos campaign; fail on any event-count "
+                            "change or a >20%% normalized median "
+                            "wall-time regression vs the committed "
+                            "BASELINE json")
     parser.add_argument("-o", "--output", default="BENCH_study.json",
                         help="where to write the JSON report")
     args = parser.parse_args(argv)
@@ -877,7 +610,7 @@ def main(argv=None) -> int:
     if args.profile:
         return profile_figure(args.profile, args.output)
 
-    report: Dict[str, object] = {"schema": 10, "cpus": os.cpu_count()}
+    report: Dict[str, object] = {"schema": 11, "cpus": os.cpu_count()}
     if args.jobs_sweep:
         report["mode"] = "jobs-sweep"
         report["jobs_sweep"] = jobs_sweep()
@@ -897,11 +630,6 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         report["serve"] = serve_bench()
         total = time.perf_counter() - start
-    elif args.fork_ab:
-        report["mode"] = "fork-ab"
-        start = time.perf_counter()
-        report["fork"] = fork_ab_bench()
-        total = time.perf_counter() - start
     else:
         if args.gate:
             mode = "full"
@@ -920,7 +648,6 @@ def main(argv=None) -> int:
         if args.gate:
             report["chaos"] = chaos_bench()
             total += report["chaos"]["seconds"]
-            report["fork"] = fork_ab_bench()
     report["total_seconds"] = round(total, 3)
     report = _merge_existing(args.output, report)
 
@@ -930,7 +657,6 @@ def main(argv=None) -> int:
     print(f"\ntotal {total:.2f} s -> {args.output}")
     if args.gate:
         failures = perf_gate(args.gate, report["figures"], report["chaos"])
-        failures += fork_gate(report["fork"])
         return 1 if failures else 0
     return 0
 

@@ -27,9 +27,8 @@ Layers:
 * **in-process** — always on; maps key -> the RunResult object.
   Callers treat results as read-only, so sharing is safe.
 * **on disk** — opt-in via :func:`enable_disk` (the ``--cache DIR``
-  flag of ``python -m repro study``); results are pickled without the
-  ``library`` field (a live library holds generators and simulation
-  state that neither pickle nor belong in a cache).
+  flag of ``python -m repro study``); results are plain numbers and
+  series, pickled as they are.
 
 The disk layer is safe to share between concurrent processes (the
 ``--jobs N`` worker pool does): every write lands in a unique temp
@@ -41,7 +40,6 @@ recomputed) rather than an error.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import os
@@ -66,8 +64,11 @@ from typing import Any, Dict, Optional
 #: inputs and its decline reason left the results.
 #: 8 -> 9: inter-node NIC crossings claim a pipe at the instant the
 #: transfer reaches it, which reorders some same-tick ties (cori runs
-#: with shared nodes); those cached timings are stale)
-SCHEMA_VERSION = 9
+#: with shared nodes); those cached timings are stale.
+#: 9 -> 10: checkpoint-fork is gone — results drop ``forked``,
+#: ``fork_fallback`` and the live ``library`` handle, and the cache
+#: holds no prefix entries)
+SCHEMA_VERSION = 10
 
 
 def _canonical(value: Any) -> Any:
@@ -94,9 +95,6 @@ class RunCache:
 
     def __init__(self, disk_dir: Optional[str] = None) -> None:
         self._memory: Dict[str, Any] = {}
-        #: steady-boundary prefix snapshots (:mod:`repro.core.forkpoint`),
-        #: keyed by the point spec minus (steps, fault plan, recovery)
-        self._prefixes: Dict[str, Any] = {}
         self.disk_dir = disk_dir
         self.hits = 0
         self.misses = 0
@@ -105,18 +103,9 @@ class RunCache:
         #: hits answered by reading a published disk entry (a subset of
         #: ``hits``): the cross-process sharing actually paying off
         self.disk_hits = 0
-        self.prefix_hits = 0
-        self.prefix_misses = 0
-        self.prefix_stores = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.disk_dir, f"{key}.pkl")
-
-    def _prefix_path(self, key: str) -> str:
-        # "px-" keeps snapshot pickles distinguishable from RunResult
-        # entries when a human lists the cache directory; keys are
-        # sha256 hex so the namespaces cannot collide anyway.
-        return os.path.join(self.disk_dir, f"px-{key}.pkl")
 
     def get(self, key: str) -> Optional[Any]:
         result = self._memory.get(key)
@@ -143,8 +132,6 @@ class RunCache:
         self._memory[key] = result
         self.stores += 1
         if self.disk_dir is not None:
-            stripped = copy.copy(result)
-            stripped.library = None
             try:
                 os.makedirs(self.disk_dir, exist_ok=True)
                 # A unique temp file per writer + atomic replace keeps
@@ -155,58 +142,8 @@ class RunCache:
                 )
                 try:
                     with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(stripped, fh)
+                        pickle.dump(result, fh)
                     os.replace(tmp, self._path(key))
-                except BaseException:
-                    os.unlink(tmp)
-                    raise
-            except OSError:
-                pass
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is resolvable, without touching hit counters.
-
-        Planning passes (the chaos fork pass, ``repro.exec``) use this
-        to decide what still needs computing; only actual consumption
-        should move the hit/miss statistics.
-        """
-        if key in self._memory:
-            return True
-        return self.disk_dir is not None and os.path.exists(self._path(key))
-
-    def get_prefix(self, key: str) -> Optional[Any]:
-        """Fetch a steady-boundary prefix snapshot (or ``None``)."""
-        snap = self._prefixes.get(key)
-        if snap is not None:
-            self.prefix_hits += 1
-            return snap
-        if self.disk_dir is not None:
-            try:
-                with open(self._prefix_path(key), "rb") as fh:
-                    snap = pickle.load(fh)
-            except Exception:
-                snap = None
-            if snap is not None:
-                self._prefixes[key] = snap
-                self.prefix_hits += 1
-                return snap
-        self.prefix_misses += 1
-        return None
-
-    def put_prefix(self, key: str, snap: Any) -> None:
-        """Publish a steady-boundary prefix snapshot under ``key``."""
-        self._prefixes[key] = snap
-        self.prefix_stores += 1
-        if self.disk_dir is not None:
-            try:
-                os.makedirs(self.disk_dir, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.disk_dir, prefix=f".px-{key[:16]}-", suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(snap, fh)
-                    os.replace(tmp, self._prefix_path(key))
                 except BaseException:
                     os.unlink(tmp)
                     raise
@@ -231,23 +168,15 @@ class RunCache:
             seeds=self.seeds,
             disk_hits=self.disk_hits,
             entries=len(self._memory),
-            prefix_hits=self.prefix_hits,
-            prefix_misses=self.prefix_misses,
-            prefix_stores=self.prefix_stores,
-            prefix_entries=len(self._prefixes),
         )
 
     def clear(self) -> None:
         self._memory.clear()
-        self._prefixes.clear()
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.seeds = 0
         self.disk_hits = 0
-        self.prefix_hits = 0
-        self.prefix_misses = 0
-        self.prefix_stores = 0
 
 
 #: the process-wide cache every run_coupled call consults

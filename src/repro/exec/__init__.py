@@ -147,9 +147,6 @@ def execute_parallel(
         report.absorb(round_no, plan, outcomes, batch_sizes=batch_sizes)
     report.wall_seconds = time.monotonic() - start
     report.runcache = runcache.CACHE.stats()
-    from ..core import forkpoint
-
-    report.forkpoint = forkpoint.STATS.stats()
     if report_path:
         report.write(report_path)
     return report

@@ -29,7 +29,6 @@ rename, see :mod:`repro.core.runcache`).
 
 from __future__ import annotations
 
-import copy
 import multiprocessing
 import os
 import signal
@@ -143,9 +142,7 @@ def _execute_spec(spec: Dict[str, Any], attempt: int):
     hits_before = runcache.CACHE.hits
     result = run_coupled(**spec)
     cache_hit = runcache.CACHE.hits > hits_before
-    stripped = copy.copy(result)
-    stripped.library = None  # live simulator state neither pickles nor ships
-    return stripped, cache_hit
+    return result, cache_hit
 
 
 def _worker_main(conn, cache_dir: Optional[str]) -> None:

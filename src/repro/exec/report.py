@@ -24,7 +24,9 @@ from typing import Any, Dict, List, Optional, TextIO
 #:         end (snapshots taken, forks served, declines by reason) and
 #:         per-round ``prefix_hits`` (points a resident steady-prefix
 #:         entry serves, kept off the pool)
-SCHEMA = 5
+#: 5 -> 6: checkpoint-fork is gone — ``forkpoint`` and the per-round
+#:         ``prefix_hits`` are dropped
+SCHEMA = 6
 
 
 class ProgressPrinter:
@@ -73,8 +75,6 @@ class RunReport:
     wall_seconds: float = 0.0
     #: :meth:`repro.core.runcache.RunCache.stats` at campaign end
     runcache: Optional[Dict[str, int]] = None
-    #: :meth:`repro.core.forkpoint.ForkpointStats.stats` at campaign end
-    forkpoint: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
         if self.effective_jobs is None:
@@ -96,7 +96,6 @@ class RunReport:
                 cache_hits=plan.cache_hits,
                 deduped_refs=plan.deduped_refs,
                 unplanned=plan.unplanned,
-                prefix_hits=plan.prefix_hits,
                 plan_errors=dict(plan.errors),
                 batch_sizes=list(batch_sizes or []),
             )
@@ -173,7 +172,6 @@ class RunReport:
             cache_hits=self.cache_hits,
             deduped_refs=self.deduped_refs,
             runcache=self.runcache,
-            forkpoint=self.forkpoint,
             rounds=self.rounds,
             tasks=self.tasks,
         )

@@ -72,28 +72,6 @@ class PmemDevice:
             + (self.used_bytes, len(self._slabs))
         )
 
-    # -- checkpoint-fork ------------------------------------------------
-    # (``restore`` is taken by the chaos rate hook above, hence the
-    # ``restore_state`` name for the snapshot counterpart.)
-
-    def snapshot(self) -> dict:
-        """Picklable record of the slab ledger and transfer counters."""
-        return dict(
-            slabs=dict(self._slabs),
-            used_bytes=self.used_bytes,
-            bytes_written=self.bytes_written,
-            bytes_read=self.bytes_read,
-            slabs_stored=self.slabs_stored,
-        )
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite the slab ledger and counters from :meth:`snapshot`."""
-        self._slabs = dict(state["slabs"])
-        self.used_bytes = state["used_bytes"]
-        self.bytes_written = state["bytes_written"]
-        self.bytes_read = state["bytes_read"]
-        self.slabs_stored = state["slabs_stored"]
-
     # -- data path ------------------------------------------------------
 
     def write(self, owner: Tuple[str, int], version: int, nbytes: int) -> Generator:

@@ -46,7 +46,6 @@ stop accepting, cancel queued jobs, drain in-flight pool tasks up to
 from __future__ import annotations
 
 import asyncio
-import copy
 import itertools
 import os
 import signal
@@ -498,10 +497,8 @@ class ServeDaemon:
 
     @staticmethod
     def _point_payload(result, cache_hit: bool, attempts: int) -> Dict[str, Any]:
-        stripped = copy.copy(result)
-        stripped.library = None  # live simulator state never ships
         return dict(
-            result_b64=protocol.pack_pickle(stripped),
+            result_b64=protocol.pack_pickle(result),
             cache_hit=bool(cache_hit),
             attempts=attempts,
             summary=dict(
@@ -576,8 +573,6 @@ class ServeDaemon:
     # -- stats ---------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        from ..core import forkpoint
-
         states: Dict[str, int] = {}
         for job in self.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
@@ -602,8 +597,4 @@ class ServeDaemon:
                 point_inflight_now=flight["inflight_now"],
                 job_coalesced=self.jobs_coalesced,
             ),
-            #: resident snapshot/fork observability: prefix entries stay
-            #: hot in this process's run cache across jobs, so replays
-            #: keep serving steps variants without re-simulating
-            forkpoint=forkpoint.STATS.stats(),
         )

@@ -27,13 +27,7 @@ persistent shape:
   followers receive the same outcome object;
 * workers count the discrete events their simulations process and
   report them per task, so the daemon's ``stats`` reply can quote
-  pool-resident events/sec;
-* because workers are resident, the steady-prefix snapshots
-  ``run_coupled`` publishes (:mod:`repro.core.forkpoint`) accumulate in
-  each worker's in-process run cache across submissions — later steps
-  variants of a configuration restore from the hot snapshot instead of
-  re-simulating the warm-up prefix (and through a shared ``cache_dir``
-  the prefix entries persist across worker generations too).
+  pool-resident events/sec.
 
 :meth:`shutdown` drains in-flight tasks up to a deadline and then
 terminates every worker — the serve daemon routes SIGINT/SIGTERM here,

@@ -31,9 +31,8 @@ from ..hpc.node import Node
 from ..sim import Environment
 from ..transport import Endpoint, Transport, make_transport
 from . import calibration as cal
-from ..sim import Event
 from .ndarray import Region, Variable
-from .store import Fragment, FragmentStore, VersionGate
+from .store import FragmentStore, VersionGate
 
 
 @dataclass(frozen=True)
@@ -400,179 +399,6 @@ class StagingLibrary:
         subclasses mark the server dead so the next access runs the
         recovery policy.
         """
-
-    # -------------------------------------------------- checkpoint-fork
-
-    def snapshot(self) -> dict:
-        """Picklable record of this library's staging state.
-
-        Captured into forkpoint prefix entries (see
-        :mod:`repro.core.forkpoint`) at the certified steady boundary.
-        The record covers everything the boundary fingerprint and the
-        result assembly read: statistics, the record tap, the version
-        gate, per-server memory occupancy/series and fragment census,
-        chaos counters, plus library-specific state via
-        :meth:`_snapshot_extras`.  Allocation handles are reduced to
-        their sizes, so snapshotting a restored instance reproduces the
-        same record.
-        """
-        gate = self.gate
-        gate_state = None
-        if gate is not None:
-            gate_state = dict(
-                window=gate.window,
-                num_writers=gate.num_writers,
-                num_readers=gate.num_readers,
-                publish_count=dict(gate._publish_count),
-                reader_count=dict(gate._reader_count),
-                consumed=gate._consumed,
-                released=gate._released,
-                published={v: e.triggered for v, e in gate._published.items()},
-                window_events=sorted(gate._window_events),
-            )
-        return dict(
-            name=self.name,
-            stats=dict(
-                bytes_staged=self.stats.bytes_staged,
-                bytes_retrieved=self.stats.bytes_retrieved,
-                put_time=self.stats.put_time,
-                get_time=self.stats.get_time,
-                puts=self.stats.puts,
-                gets=self.stats.gets,
-            ),
-            stats_replicas=self.stats_replicas,
-            steady_tap=(
-                list(self._steady_tap) if self._steady_tap is not None else None
-            ),
-            dead_ranks=sorted(self.dead_ranks),
-            versions_lost=self.versions_lost,
-            recovery_events=self.recovery_events,
-            recovery_seconds=self.recovery_seconds,
-            gate=gate_state,
-            servers=[self._snapshot_server(s) for s in self.servers],
-            extras=self._snapshot_extras(),
-        )
-
-    @staticmethod
-    def _snapshot_store(store: FragmentStore) -> dict:
-        """A fragment census: (var, version) -> [(region, nbytes)]."""
-        return {
-            key: [(f.region, f.nbytes) for f in frags]
-            for key, frags in store._frags.items()
-        }
-
-    @staticmethod
-    def _restore_store(store: FragmentStore, census: dict) -> None:
-        store._frags = {
-            key: [Fragment(region, nbytes, None) for region, nbytes in frags]
-            for key, frags in census.items()
-        }
-
-    @staticmethod
-    def _alloc_sizes(allocs: dict) -> dict:
-        """Allocation-handle dicts reduced to byte sizes (picklable)."""
-        return {
-            key: (
-                [getattr(a, "nbytes", a) for a in value]
-                if isinstance(value, list)
-                else getattr(value, "nbytes", value)
-            )
-            for key, value in allocs.items()
-        }
-
-    def _snapshot_server(self, server: ServerState) -> dict:
-        mem = server.memory
-        return dict(
-            total=mem.total,
-            peak=mem.peak,
-            by_category=dict(mem.by_category),
-            series_times=list(mem.series._times),
-            series_values=list(mem.series._values),
-            store=self._snapshot_store(server.store),
-            staged_allocs=self._alloc_sizes(server._staged_allocs),
-        )
-
-    def restore(self, state: dict) -> None:
-        """Overwrite this instance's staging state from :meth:`snapshot`.
-
-        The library must be built for the same configuration and
-        bootstrapped (servers exist).  A restored instance answers
-        inspection — :meth:`steady_state` fingerprints, stats, store
-        census — exactly as the captured one did; it does **not**
-        support continuing the simulation: live generator frames and
-        transport queues are process state, which is exactly why fault
-        variants ``os.fork`` the trunk instead.  Server memory is set
-        wholesale; parent (node) trackers are deliberately left alone.
-        """
-        if state.get("name") != self.name:
-            raise ValueError(
-                f"snapshot of {state.get('name')!r} cannot restore "
-                f"a {self.name!r} library"
-            )
-        self.stats = StagingStats(**state["stats"])
-        self.stats_replicas = state["stats_replicas"]
-        tap = state.get("steady_tap")
-        self._steady_tap = list(tap) if tap is not None else None
-        self.dead_ranks = {tuple(d) for d in state["dead_ranks"]}
-        self.versions_lost = state["versions_lost"]
-        self.recovery_events = state["recovery_events"]
-        self.recovery_seconds = state["recovery_seconds"]
-        gs = state.get("gate")
-        if gs is None:
-            self.gate = None
-        else:
-            gate = VersionGate(
-                self.env,
-                num_writers=max(1, gs["num_writers"]),
-                num_readers=max(1, gs["num_readers"]),
-                window=gs["window"],
-            )
-            # writer_left/reader_left legally drive live counts to zero
-            # or below; the constructor only validates fresh gates, so
-            # overwrite after construction.
-            gate.num_writers = gs["num_writers"]
-            gate.num_readers = gs["num_readers"]
-            gate._publish_count = dict(gs["publish_count"])
-            gate._reader_count = dict(gs["reader_count"])
-            gate._consumed = gs["consumed"]
-            gate._released = gs["released"]
-            for version, fired in sorted(gs["published"].items()):
-                event = Event(self.env)
-                if fired:
-                    # Mark triggered without scheduling: nothing waits
-                    # on a restored event, it only answers .triggered.
-                    event._ok = True
-                    event._value = None
-                gate._published[version] = event
-            for version in gs["window_events"]:
-                gate._window_events[version] = Event(self.env)
-            self.gate = gate
-        snaps = state["servers"]
-        if len(snaps) != len(self.servers):
-            raise ValueError(
-                f"snapshot holds {len(snaps)} servers, "
-                f"library has {len(self.servers)}"
-            )
-        for server, sdata in zip(self.servers, snaps):
-            mem = server.memory
-            mem.total = sdata["total"]
-            mem.peak = sdata["peak"]
-            mem.by_category = dict(sdata["by_category"])
-            mem.series._times = list(sdata["series_times"])
-            mem.series._values = list(sdata["series_values"])
-            self._restore_store(server.store, sdata["store"])
-            server._staged_allocs = {
-                key: list(sizes)
-                for key, sizes in sdata["staged_allocs"].items()
-            }
-        self._restore_extras(state.get("extras") or {})
-
-    def _snapshot_extras(self) -> dict:
-        """Subclass hook: library-specific picklable state."""
-        return {}
-
-    def _restore_extras(self, extras: dict) -> None:
-        """Subclass hook: restore what :meth:`_snapshot_extras` captured."""
 
     # ------------------------------------------------------- clustering
 

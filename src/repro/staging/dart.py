@@ -73,36 +73,6 @@ class DartInstance:
     def num_servers(self) -> int:
         return len(self._directory)
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def snapshot(self) -> dict:
-        """Picklable record of the directory counts and transfer stats."""
-        return dict(
-            rpcs=self.rpcs,
-            bulk_ops=self.bulk_ops,
-            bulk_bytes=self.bulk_bytes,
-            registered=dict(self._registered),
-            directory={
-                sid: entry.registered_clients
-                for sid, entry in self._directory.items()
-            },
-        )
-
-    def restore_state(self, state: dict) -> None:
-        """Overwrite counters/registrations on a bootstrapped instance.
-
-        Directory entries (server endpoints) are rebuilt by bootstrap,
-        not the snapshot — only their client counts are restored.
-        """
-        self.rpcs = state["rpcs"]
-        self.bulk_ops = state["bulk_ops"]
-        self.bulk_bytes = state["bulk_bytes"]
-        self._registered = dict(state["registered"])
-        for sid, count in state["directory"].items():
-            entry = self._directory.get(sid)
-            if entry is not None:
-                entry.registered_clients = count
-
     # ------------------------------------------------------ registration
 
     def register_client(self, client: Endpoint, server_id: int) -> Generator:

@@ -230,23 +230,6 @@ class DataSpaces(StagingLibrary):
             lock_state,
         )
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def _snapshot_extras(self) -> dict:
-        extras = dict(global_store=self._snapshot_store(self.global_store))
-        if self.dart is not None:
-            extras["dart"] = self.dart.snapshot()
-        if self.locks is not None:
-            extras["locks"] = self.locks.snapshot()
-        return extras
-
-    def _restore_extras(self, extras: dict) -> None:
-        self._restore_store(self.global_store, extras.get("global_store", {}))
-        if extras.get("dart") is not None and self.dart is not None:
-            self.dart.restore_state(extras["dart"])
-        if extras.get("locks") is not None and self.locks is not None:
-            self.locks.restore_state(extras["locks"])
-
     # ------------------------------------------------------- clustering
 
     def clustering_plan(self, write_regions, read_regions):

@@ -179,23 +179,6 @@ class Decaf(StagingLibrary):
         number of analytics processors used"."""
         return max(1, nana)
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def _snapshot_extras(self) -> dict:
-        return dict(
-            global_store=self._snapshot_store(self.global_store),
-            staged_allocs=self._alloc_sizes(self._staged_allocs),
-            terminated_version=self._terminated_version,
-        )
-
-    def _restore_extras(self, extras: dict) -> None:
-        self._restore_store(self.global_store, extras.get("global_store", {}))
-        self._staged_allocs = {
-            key: list(sizes)
-            for key, sizes in extras.get("staged_allocs", {}).items()
-        }
-        self._terminated_version = extras.get("terminated_version")
-
     # ---------------------------------------------------------- lifecycle
 
     def bootstrap(self) -> Generator:

@@ -189,27 +189,6 @@ class Dimes(StagingLibrary):
         meta = self._meta_cpu.steady_state() if self._meta_cpu is not None else ()
         return super().steady_state(step) + (meta,)
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def _snapshot_extras(self) -> dict:
-        extras = dict(
-            global_store=self._snapshot_store(self.global_store),
-            owners={v: list(pairs) for v, pairs in self._owners.items()},
-            client_allocs=self._alloc_sizes(self._client_allocs),
-        )
-        if self.dart is not None:
-            extras["dart"] = self.dart.snapshot()
-        return extras
-
-    def _restore_extras(self, extras: dict) -> None:
-        self._restore_store(self.global_store, extras.get("global_store", {}))
-        self._owners = {
-            v: list(pairs) for v, pairs in extras.get("owners", {}).items()
-        }
-        self._client_allocs = dict(extras.get("client_allocs", {}))
-        if extras.get("dart") is not None and self.dart is not None:
-            self.dart.restore_state(extras["dart"])
-
     # --------------------------------------------------------------- put
 
     def _meta_server_of(self, version: int) -> int:

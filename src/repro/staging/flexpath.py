@@ -104,26 +104,6 @@ class Flexpath(StagingLibrary):
         """
         return SteadyPlan(warmup=max(1, self.config.queue_size) + 1)
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def _snapshot_extras(self) -> dict:
-        return dict(
-            global_store=self._snapshot_store(self.global_store),
-            published={v: list(p) for v, p in self._published.items()},
-            queue_allocs=self._alloc_sizes(self._queue_allocs),
-            lost_versions=sorted(self._lost_versions),
-            notifications_delivered=self.notifications_delivered,
-        )
-
-    def _restore_extras(self, extras: dict) -> None:
-        self._restore_store(self.global_store, extras.get("global_store", {}))
-        self._published = {
-            v: list(p) for v, p in extras.get("published", {}).items()
-        }
-        self._queue_allocs = dict(extras.get("queue_allocs", {}))
-        self._lost_versions = set(extras.get("lost_versions", ()))
-        self.notifications_delivered = extras.get("notifications_delivered", 0)
-
     def rank_died(self, kind: str, actor: int) -> None:
         """Serverless pub/sub detects peer EOF: the group shrinks.
 

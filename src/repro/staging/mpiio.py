@@ -78,28 +78,6 @@ class MpiIo(StagingLibrary):
             state += self.cluster.pmem.steady_state()
         return state
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def _snapshot_extras(self) -> dict:
-        # File handles are live Lustre state and cannot be rebuilt from
-        # a record; only their version census is captured (a restored
-        # instance answers inspection, never continues simulating).
-        extras = dict(
-            global_store=self._snapshot_store(self.global_store),
-            handle_versions=sorted(self._handles),
-            restart_pending=self._restart_pending,
-        )
-        if self.config.pmem_checkpoint and self.cluster.pmem is not None:
-            extras["pmem"] = self.cluster.pmem.snapshot()
-        return extras
-
-    def _restore_extras(self, extras: dict) -> None:
-        self._restore_store(self.global_store, extras.get("global_store", {}))
-        self._handles = {v: None for v in extras.get("handle_versions", ())}
-        self._restart_pending = extras.get("restart_pending", False)
-        if extras.get("pmem") is not None and self.cluster.pmem is not None:
-            self.cluster.pmem.restore_state(extras["pmem"])
-
     # ------------------------------------------------------ chaos hooks
 
     def rank_died(self, kind: str, actor: int) -> None:

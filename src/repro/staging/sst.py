@@ -183,37 +183,6 @@ class Sst(StagingLibrary):
             state += self.cluster.pmem.steady_state()
         return state
 
-    # --------------------------------------------------- checkpoint-fork
-
-    def _snapshot_extras(self) -> dict:
-        extras = dict(
-            global_store=self._snapshot_store(self.global_store),
-            published={v: list(p) for v, p in self._published.items()},
-            queue_allocs=self._alloc_sizes(self._queue_allocs),
-            reading=dict(self._reading),
-            steps_discarded=self.steps_discarded,
-            discarded=sorted(self._discarded),
-            lost_versions=sorted(self._lost_versions),
-            restart_pending=self._restart_pending,
-        )
-        if self.config.pmem_checkpoint and self.cluster.pmem is not None:
-            extras["pmem"] = self.cluster.pmem.snapshot()
-        return extras
-
-    def _restore_extras(self, extras: dict) -> None:
-        self._restore_store(self.global_store, extras.get("global_store", {}))
-        self._published = {
-            v: list(p) for v, p in extras.get("published", {}).items()
-        }
-        self._queue_allocs = dict(extras.get("queue_allocs", {}))
-        self._reading = dict(extras.get("reading", {}))
-        self.steps_discarded = extras.get("steps_discarded", 0)
-        self._discarded = set(extras.get("discarded", ()))
-        self._lost_versions = set(extras.get("lost_versions", ()))
-        self._restart_pending = extras.get("restart_pending", False)
-        if extras.get("pmem") is not None and self.cluster.pmem is not None:
-            self.cluster.pmem.restore_state(extras["pmem"])
-
     # ------------------------------------------------------- clustering
 
     def clustering_plan(

@@ -410,8 +410,8 @@ class RunResult:
     #: run silently fell back to a stricter mode (None when the request
     #: engaged as asked, or nothing was requested)
     fidelity_fallback: Optional[str] = None
-    #: inputs echoed into the result so consumers never need the live
-    #: ``library`` (which is stripped from pickled/worker-shipped results)
+    #: inputs echoed into the result: the staged variable's size and
+    #: the number of staging servers the run placed
     variable_nbytes: int = 0
     nservers: int = 0
     #: per-processor memory timeline of simulation/analytics rank 0
@@ -427,16 +427,6 @@ class RunResult:
     recovery_events: int = 0
     #: simulated seconds spent inside recovery actions
     recovery_seconds: float = 0.0
-    #: how this result was produced when not simulated cold: "prefix:…"
-    #: (arithmetic resume from a steady-boundary snapshot) or
-    #: "chaos-trunk" (os.fork off a clean trunk at the fault trigger) —
-    #: see :mod:`repro.core.forkpoint`.  None for cold runs.
-    forked: Optional[str] = None
-    #: why this steady-certified run could not publish a reusable
-    #: prefix snapshot (None when one was published, or the run never
-    #: reached the steady gate)
-    fork_fallback: Optional[str] = None
-    library: Optional[StagingLibrary] = None
 
     @property
     def ok(self) -> bool:
@@ -480,7 +470,6 @@ def run_coupled(
     fidelity: str = "exact",
     fault_plan=None,
     recovery=None,
-    fork_host=None,
 ) -> RunResult:
     """Run one coupled workflow configuration end to end.
 
@@ -513,42 +502,43 @@ def run_coupled(
     library declines a certificate or no boundary pair matches;
     ``RunResult.fidelity_fallback`` records why.
 
-    ``fork_host`` (a :class:`repro.core.forkpoint.ChaosForkHost`) runs
-    this configuration as a clean *trunk* that ``os.fork()``\\ s a child
-    process at each registered fault trigger; the children inject their
-    faults post-fork and ship their results back, so one clean prefix
-    serves every fault variant.  A trunk run requires ``fault_plan`` and
-    ``trace`` to be ``None`` and skips the cache read (it must actually
-    simulate) while still publishing its own clean result.
-
     Results are memoized in :mod:`repro.core.runcache` keyed on every
     input that determines the outcome; traced runs bypass the cache.
-    Cache misses first consult the steady-boundary *prefix* entries
-    (see :mod:`repro.core.forkpoint`): a sibling run differing only in
-    ``steps`` may have published its certified orbit, in which case the
-    divergent suffix is replayed arithmetically instead of simulated.
+    Every cache miss simulates the configuration from a fresh
+    environment.  The result holds plain numbers and series only, so
+    it pins no simulator state once returned.
     """
     if fidelity not in ("exact", "clustered", "steady", "steady+clustered"):
         raise ValueError(
             "fidelity must be 'exact', 'clustered', 'steady' or "
             f"'steady+clustered', got {fidelity!r}"
         )
-    if fork_host is not None and (fault_plan is not None or trace is not None):
-        raise ValueError(
-            "fork_host runs a clean trunk: fault_plan and trace must be "
-            "None (forked children inject their own faults)"
-        )
-    machine_spec, spec, point = _resolve_point(
-        machine, workflow, method, nsim, nana, steps, transport,
-        num_servers, shared_nodes, variable, sim_step_seconds,
-        ana_step_seconds, topology_overrides, config, app_axis,
-        fidelity, fault_plan, recovery,
+    # Resolve the call to its point: every input that determines the
+    # outcome, with machine/workflow reduced to catalog names and the
+    # workflow-spec defaults applied.  The cache key and the planning
+    # recorder both derive from it, so they always agree on what "the
+    # same configuration" means.
+    spec = get_workflow(workflow) if isinstance(workflow, str) else workflow
+    machine_spec = get_machine(machine) if isinstance(machine, str) else machine
+    var = variable if variable is not None else spec.variable(nsim)
+    topology_overrides = {
+        "sim_ranks_per_node": spec.sim_ranks_per_node,
+        "ana_ranks_per_node": spec.ana_ranks_per_node,
+        **(topology_overrides or {}),
+    }
+    sim_step = spec.sim_step_seconds if sim_step_seconds is None else sim_step_seconds
+    ana_step = spec.ana_step_seconds if ana_step_seconds is None else ana_step_seconds
+    axis = spec.app_axis if app_axis is None else app_axis
+    point = dict(
+        machine=machine_spec.name, workflow=spec.name,
+        method=method, nsim=nsim, nana=nana, steps=steps,
+        transport=transport, num_servers=num_servers,
+        shared_nodes=shared_nodes, variable=var,
+        sim_step_seconds=sim_step, ana_step_seconds=ana_step,
+        topology_overrides=topology_overrides, config=config,
+        app_axis=axis, fidelity=fidelity,
+        fault_plan=fault_plan, recovery=recovery,
     )
-    var = point["variable"]
-    sim_step = point["sim_step_seconds"]
-    ana_step = point["ana_step_seconds"]
-    topology_overrides = point["topology_overrides"]
-    axis = point["app_axis"]
 
     cache_key = None
     if trace is None:
@@ -561,26 +551,12 @@ def run_coupled(
         # uncacheable calls are left for the serial replay.
         return _PLAN_RECORDER.intercept(cache_key, point)
 
-    if cache_key is not None and fork_host is None:
+    if cache_key is not None:
         from ..core import runcache
 
         cached = runcache.CACHE.get(cache_key)
         if cached is not None:
             return cached
-
-        from ..core import forkpoint
-
-        pkey = forkpoint.prefix_key(point)
-        if pkey is not None:
-            snap = runcache.CACHE.get_prefix(pkey)
-            if snap is not None:
-                if snap.serves(steps):
-                    restored = snap.resume(steps)
-                    restored.forked = f"prefix:{pkey[:16]}"
-                    forkpoint.STATS.forks_served += 1
-                    runcache.CACHE.put(cache_key, restored)
-                    return restored
-                forkpoint.STATS.decline(snap.decline_reason(steps))
 
     def _attempt(run_fidelity: str) -> RunResult:
         result = RunResult(
@@ -594,11 +570,10 @@ def run_coupled(
         )
         env = Environment()
         cluster = Cluster(env, machine_spec)
-        if fault_plan is None and fork_host is None:
+        if fault_plan is None:
             # no injector armed -> no pipe can be degraded mid-run, so
             # every pipe (OSTs, NICs, memory buses) may run its
-            # eventless arithmetic chain.  Fork trunks keep rates
-            # mutable: a forked child degrades them mid-run.
+            # eventless arithmetic chain.
             cluster.freeze_rates()
         library = None
         try:
@@ -609,17 +584,13 @@ def run_coupled(
             _execute(
                 env, cluster, library, result, var, spec, sim_step, ana_step,
                 steps, axis, nsim, nana, shared_nodes, topology_overrides,
-                trace, run_fidelity, fault_plan, recovery, fork_host,
+                trace, run_fidelity, fault_plan, recovery,
             )
         except HpcError as exc:
             result.failure = f"{type(exc).__name__}: {exc}"
-            if fault_plan is not None or (
-                fork_host is not None and fork_host.in_child
-            ):
+            if fault_plan is not None:
                 # Chaos runs keep their partial accounting: how far the
                 # clock got and what the libraries managed to recover.
-                # A forked child is a chaos run even though the trunk's
-                # fault_plan is None — it injected its own post-fork.
                 result.end_to_end = env.now
                 if library is not None:
                     result.versions_lost = library.versions_lost
@@ -637,110 +608,25 @@ def run_coupled(
     if was_enabled:
         gc.disable()
     try:
-        try:
-            result = _attempt(fidelity)
-        except _SteadyDiverged as exc:
-            # Safety net: the confirmed orbit failed replay-time
-            # verification.  Rerun the whole configuration (fresh
-            # environment, cluster and library) without the fast-forward
-            # — a false engagement costs time, never correctness.
-            result = _attempt(
-                "clustered" if fidelity == "steady+clustered" else "exact"
-            )
-            result.fidelity_fallback = f"steady: {exc}"
-    except BaseException as exc:
-        # A forked chaos child shares this stack with its parent: an
-        # exception escaping run_coupled inside the child would resume
-        # the *campaign loop* in a second process.  Convert it to a
-        # decline marker and exit the child instead.
-        if fork_host is not None and fork_host.in_child:
-            fork_host.child_abort(exc)
-        raise
+        result = _attempt(fidelity)
+    except _SteadyDiverged as exc:
+        # Safety net: the confirmed orbit failed replay-time
+        # verification.  Rerun the whole configuration (fresh
+        # environment, cluster and library) without the fast-forward
+        # — a false engagement costs time, never correctness.
+        result = _attempt(
+            "clustered" if fidelity == "steady+clustered" else "exact"
+        )
+        result.fidelity_fallback = f"steady: {exc}"
     finally:
         if was_enabled:
             gc.enable()
 
-    snap = result.__dict__.pop("_forkpoint_snapshot", None)
-    if fork_host is not None:
-        # In a forked child this ships the result to the parent and
-        # never returns; in the parent it retires the trunk's triggers.
-        fork_host.finalize_run(result)
     if cache_key is not None:
         from ..core import runcache
 
-        if snap is not None:
-            from ..core import forkpoint
-
-            pkey = forkpoint.prefix_key(point)
-            if pkey is not None:
-                runcache.CACHE.put_prefix(pkey, snap)
-                forkpoint.STATS.snapshots_taken += 1
-            else:
-                result.fork_fallback = "prefix: point is not prefix-keyable"
         runcache.CACHE.put(cache_key, result)
-    elif snap is not None:
-        result.fork_fallback = "prefix: uncacheable configuration (ad-hoc spec)"
     return result
-
-
-def _resolve_point(
-    machine, workflow, method, nsim, nana, steps, transport,
-    num_servers, shared_nodes, variable, sim_step_seconds,
-    ana_step_seconds, topology_overrides, config, app_axis,
-    fidelity, fault_plan, recovery,
-):
-    """Normalize one ``run_coupled`` call to its resolved point.
-
-    The point dict carries every input that determines the outcome,
-    with machine/workflow reduced to catalog names and workflow-spec
-    defaults applied.  The cache key, the planning recorder and the
-    forkpoint prefix key all derive from it, so the three always agree
-    on what "the same configuration" means.
-    """
-    spec = get_workflow(workflow) if isinstance(workflow, str) else workflow
-    machine_spec = get_machine(machine) if isinstance(machine, str) else machine
-    var = variable if variable is not None else spec.variable(nsim)
-    merged_overrides = dict(
-        sim_ranks_per_node=spec.sim_ranks_per_node,
-        ana_ranks_per_node=spec.ana_ranks_per_node,
-    )
-    merged_overrides.update(topology_overrides or {})
-    sim_step = spec.sim_step_seconds if sim_step_seconds is None else sim_step_seconds
-    ana_step = spec.ana_step_seconds if ana_step_seconds is None else ana_step_seconds
-    axis = spec.app_axis if app_axis is None else app_axis
-    point = dict(
-        machine=machine_spec.name, workflow=spec.name,
-        method=method, nsim=nsim, nana=nana, steps=steps,
-        transport=transport, num_servers=num_servers,
-        shared_nodes=shared_nodes, variable=var,
-        sim_step_seconds=sim_step, ana_step_seconds=ana_step,
-        topology_overrides=merged_overrides, config=config,
-        app_axis=axis, fidelity=fidelity,
-        fault_plan=fault_plan, recovery=recovery,
-    )
-    return machine_spec, spec, point
-
-
-def point_key(
-    machine="titan", workflow="lammps", method="dataspaces",
-    nsim=32, nana=16, steps=5, transport=None, num_servers=None,
-    shared_nodes=False, variable=None, sim_step_seconds=None,
-    ana_step_seconds=None, topology_overrides=None, config=None,
-    app_axis=None, fidelity="exact", fault_plan=None, recovery=None,
-) -> Optional[str]:
-    """The run-cache key one ``run_coupled`` call would use.
-
-    ``None`` when the configuration is uncacheable.  The chaos fork
-    pass uses this to address forked-child results without simulating.
-    """
-    machine_spec, spec, point = _resolve_point(
-        machine, workflow, method, nsim, nana, steps, transport,
-        num_servers, shared_nodes, variable, sim_step_seconds,
-        ana_step_seconds, topology_overrides, config, app_axis,
-        fidelity, fault_plan, recovery,
-    )
-    inputs = {k: v for k, v in point.items() if k not in ("machine", "workflow")}
-    return _cache_key(machine_spec=machine_spec, spec=spec, **inputs)
 
 
 def _cache_key(machine_spec, spec, **inputs) -> Optional[str]:
@@ -792,7 +678,6 @@ def _execute(
     fidelity: str = "exact",
     fault_plan=None,
     recovery=None,
-    fork_host=None,
 ) -> None:
     machine = cluster.spec
 
@@ -913,11 +798,6 @@ def _execute(
                     trackers=sim_trackers + ana_trackers,
                 )
                 library._steady_tap = []
-    if steady_req and steady is None:
-        # No orbit will be certified, so no prefix snapshot can be
-        # published either — mirror the reason (traced run, library
-        # with no certificate such as discard-mode SST, too few steps).
-        result.fork_fallback = result.fidelity_fallback
 
     # Per-step-invariant compute costs, hoisted out of the actor loops.
     sim_compute = machine.compute_time(sim_step)
@@ -1043,35 +923,12 @@ def _execute(
                 f"-second watchdog after fault injection "
                 f"(injected: {injector.describe()})"
             )
-    elif fork_host is not None:
-        # Clean trunk: step manually (equivalent to env.run(until=done))
-        # so the host can os.fork() a child at each registered fault
-        # trigger.  In a child this returns once the child's own faulted
-        # run finished; the rest of this function then assembles the
-        # child's result exactly as a cold chaos run would.
-        fork_host.drive(env, done, library, cluster)
     else:
         env.run(until=done)
 
     steady_end = None
-    fork_partial = None
     if steady is not None:
         if steady.engaged:
-            # Capture the certified boundary *before* finalize mutates
-            # the library stats and series in place: the snapshot wants
-            # the orbit as simulated, the replayed tail is per-steps.
-            if library is None:
-                result.fork_fallback = (
-                    "prefix: compute-only fast-forward has no boundary state"
-                )
-            else:
-                from ..core import forkpoint
-
-                fork_partial, decline = forkpoint.begin_capture(
-                    env, steady, library
-                )
-                if fork_partial is None:
-                    result.fork_fallback = decline
             # Replay mutates the library stats and memory series in
             # place, so it must run before the result assembly below;
             # on divergence _SteadyDiverged propagates to run_coupled,
@@ -1087,10 +944,6 @@ def _execute(
                 result.fidelity_fallback = (
                     steady.fail or "steady: no boundary pair matched"
                 )
-            result.fork_fallback = (
-                "prefix: steady orbit not certified "
-                f"({result.fidelity_fallback})"
-            )
 
     result.end_to_end = env.now if steady_end is None else steady_end
     result.sim_finish = finish["sim"]
@@ -1116,13 +969,4 @@ def _execute(
         result.versions_lost = library.versions_lost
         result.recovery_events = library.recovery_events
         result.recovery_seconds = library.recovery_seconds
-        result.library = library
         library.shutdown()
-    if fork_partial is not None:
-        from ..core import forkpoint
-
-        # Fold the steps-independent result scalars into the snapshot
-        # now that they are assembled; run_coupled publishes it.
-        result._forkpoint_snapshot = forkpoint.finish_capture(
-            fork_partial, result
-        )

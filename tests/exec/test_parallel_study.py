@@ -61,7 +61,7 @@ class TestParallelStudy:
             {"fig8": Study().experiments()["fig8"]}, jobs=2, report_path=path
         )
         payload = json.loads(open(path).read())
-        assert payload["schema"] == 5
+        assert payload["schema"] == 6
         assert payload["jobs"] == 2
         assert payload["requested_jobs"] == 2
         # clamped to os.cpu_count() on small hosts, never above request
@@ -76,13 +76,6 @@ class TestParallelStudy:
         assert set(cache) >= {"hits", "misses", "stores", "seeds",
                               "disk_hits", "entries"}
         assert all(isinstance(v, int) for v in cache.values())
-        # schema 5: so do the checkpoint-fork counters
-        fork = payload["forkpoint"]
-        assert set(fork) >= {"snapshots_taken", "forks_served",
-                             "fork_declines"}
-        assert isinstance(fork["snapshots_taken"], int)
-        assert isinstance(fork["forks_served"], int)
-        assert isinstance(fork["fork_declines"], dict)
 
 
 class TestCliFlags:

@@ -44,11 +44,13 @@ class TestDriverEdges:
         from repro.staging import Variable
 
         var = Variable("custom", (4, 8, 10))
+        default = SYNTHETIC.variable(8)
+        assert var.nbytes != default.nbytes
         r = run_coupled("titan", "synthetic", "flexpath", nsim=8, nana=4,
                         steps=1, variable=var,
                         sim_step_seconds=0.0, ana_step_seconds=0.0)
         assert r.ok
-        assert r.library.variable is var
+        assert r.variable_nbytes == var.nbytes
 
     def test_scheduler_violation_captured(self):
         r = run_coupled("titan", "lammps", "flexpath", nsim=8, nana=4,
@@ -58,8 +60,8 @@ class TestDriverEdges:
 
     def test_bytes_staged_accounting(self):
         r = run_coupled("titan", "lammps", "dimes", nsim=32, nana=16, steps=2)
-        var_bytes = r.library.variable.nbytes
-        assert r.bytes_staged == pytest.approx(2 * var_bytes)
+        assert r.variable_nbytes == LAMMPS.variable(32).nbytes
+        assert r.bytes_staged == pytest.approx(2 * r.variable_nbytes)
 
     def test_server_breakdown_in_result(self):
         r = run_coupled("titan", "lammps", "dataspaces", nsim=32, nana=16,
