@@ -3,8 +3,8 @@
 
 Runs the paper's experiments and writes ``BENCH_study.json`` with, per
 figure, the wall-clock seconds and the number of discrete events the
-simulator processed — the two numbers the DES/clustering/caching
-optimizations move.  Modes:
+simulator processed — the two numbers the DES/caching optimizations
+move.  Modes:
 
 * ``--smoke``      — a small subset (CI-friendly, well under a minute);
 * default          — every study experiment at the small scales;
@@ -66,7 +66,10 @@ speed-normalized medians of repeats (``seconds``, ``raw_seconds``,
 ``spread``, ``repeats``) and drops ``events_per_second``: the gate
 checks event counts exactly instead, so a change that removes events
 is no longer read as a throughput loss.  Schema 11 drops the ``fork``
-section with the checkpoint-fork layer it measured.
+section with the checkpoint-fork layer it measured.  Its baselines were
+re-recorded (schema unchanged) when the clustered fidelity rung was
+deleted: every cell now simulates all its actors, so ``fig2a_full``,
+``fig2b_full`` and ``fig_sst`` count more events for the same outputs.
 
 The run cache is cleared before every experiment so timings measure
 simulation, not memoization.  Results merge into the output JSON, so

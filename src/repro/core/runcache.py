@@ -67,8 +67,10 @@ from typing import Any, Dict, Optional
 #: with shared nodes); those cached timings are stale.
 #: 9 -> 10: checkpoint-fork is gone — results drop ``forked``,
 #: ``fork_fallback`` and the live ``library`` handle, and the cache
-#: holds no prefix entries)
-SCHEMA_VERSION = 10
+#: holds no prefix entries.
+#: 10 -> 11: the clustered fidelity is gone — cached results carry the
+#: deleted ``"clustered"``/``"steady+clustered"`` labels)
+SCHEMA_VERSION = 11
 
 
 def _canonical(value: Any) -> Any:

@@ -38,13 +38,12 @@ from ..hpc.units import fmt_bytes
 from ..sim import Resource
 from ..transport import RdmaTransport, TcpTransport
 from . import calibration as cal
-from .base import ClusterPlan, StagingLibrary, SteadyPlan
+from .base import StagingLibrary, SteadyPlan
 from .dart import DartInstance
 from .decomposition import (
     access_plan,
     application_decomposition,
     staging_partition,
-    uniform_regions,
 )
 from .locks import LockService
 from .ndarray import Region
@@ -228,64 +227,6 @@ class DataSpaces(StagingLibrary):
         return super().steady_state(step) + (
             tuple(cpu.steady_state() for cpu in self._server_cpu),
             lock_state,
-        )
-
-    # ------------------------------------------------------- clustering
-
-    def clustering_plan(self, write_regions, read_regions):
-        """Engage when each (sim i, server i, ana i) triple is an
-        isolated chain identical to every other.
-
-        That is the matched-layout geometry of Figure 8b: every
-        processor's region coincides with exactly one partition
-        sub-region and lands on its own server.  Anything that couples
-        the chains — the single DRC credential service, a multiplexed
-        socket pool, replication onto the neighbouring server, shared
-        nodes, or a plan touching a foreign server — disables the mode.
-
-        Two representative chains are kept, not one: the first writer
-        to finish a step evicts the previous version on *every* server
-        (a zero-time bookkeeping sweep), so server 0 is the only server
-        that ever holds two versions at once.  Chain 0 reproduces that
-        leader; chain 1 stands for every follower (``"leader"``
-        tiling).
-        """
-        topo = self.topology
-        n = topo.sim_actors
-        if n < 4 or n % 2 or topo.ana_actors != n or topo.server_actors != n:
-            return None
-        if self.shared_nodes or self.config.replication_factor >= 2:
-            return None
-        if isinstance(self.transport, RdmaTransport) and self.cluster.drc is not None:
-            # Credential acquisition serializes through one DRC server,
-            # staggering the chains relative to each other.
-            return None
-        if isinstance(self.transport, TcpTransport) and self.transport.pool_size is not None:
-            # Pooled descriptors are multiplexed round-robin across all
-            # chains' moves.
-            return None
-        if not (uniform_regions(write_regions) and uniform_regions(read_regions)):
-            return None
-        partition = staging_partition(self.variable, n)
-        for i in range(n):
-            if access_plan(write_regions[i], partition, n) != [(i, write_regions[i])]:
-                return None
-            if access_plan(read_regions[i], partition, n) != [(i, read_regions[i])]:
-                return None
-        # Every chain must pay the same wire distance as chain 0.
-        sim_nodes = self._placed_nodes("simulation")
-        ana_nodes = self._placed_nodes("analytics")
-        srv_nodes = self._placed_nodes("servers")
-        put_hops = self._chain_hops(sim_nodes[0], srv_nodes[0])
-        get_hops = self._chain_hops(srv_nodes[0], ana_nodes[0])
-        for i in range(1, n):
-            if self._chain_hops(sim_nodes[i], srv_nodes[i]) != put_hops:
-                return None
-            if self._chain_hops(srv_nodes[i], ana_nodes[i]) != get_hops:
-                return None
-        return ClusterPlan(
-            sim_reps=2, ana_reps=2, server_reps=2, groups=n // 2,
-            server_tiling="leader",
         )
 
     def _server_work(self, server_index: int, scale: float, actor_chunks: int):

@@ -23,7 +23,7 @@ from ..hpc.machines import MachineSpec, get_machine
 from ..sim import Environment, TimeSeries
 from ..sim.engine import EXACT_TICK_LIMIT, _TICK
 from ..staging import calibration as cal
-from ..staging.base import ClusterPlan, StagingLibrary
+from ..staging.base import StagingLibrary
 from ..staging.decomposition import application_decomposition
 from ..staging.factory import make_library
 from ..staging.ndarray import Variable
@@ -264,8 +264,7 @@ class _SteadyController:
         delta = self.delta
         # Statistics: put and get records feed disjoint accumulators,
         # so each kind's stream replays independently in its own exact
-        # order (through _record_*, so stats_replicas composes with the
-        # clustered fidelity).
+        # order.
         tap = library._steady_tap
         j0 = self.boundaries[self.cutoff - 2]["tap"]
         j1 = self.boundaries[self.cutoff - 1]["tap"]
@@ -399,16 +398,15 @@ class RunResult:
     get_time: float = 0.0
     bytes_staged: float = 0.0
     failure: Optional[str] = None
-    #: "exact" ran every actor every step; "clustered" ran one
-    #: representative group per equivalence class; "steady" stopped
-    #: simulating once the step loop provably entered a periodic orbit
-    #: and replayed the rest by exact translation; "steady+clustered"
-    #: composed both (requested via ``fidelity`` and engaged only when
-    #: the structural/fingerprint checks proved it bit-identical)
+    #: "exact" ran every actor every step; "steady" stopped simulating
+    #: once the step loop provably entered a periodic orbit and
+    #: replayed the rest by exact translation (requested via
+    #: ``fidelity`` and engaged only when the fingerprint checks proved
+    #: it bit-identical)
     fidelity: str = "exact"
-    #: why a requested reduced fidelity could not (fully) engage — the
-    #: run silently fell back to a stricter mode (None when the request
-    #: engaged as asked, or nothing was requested)
+    #: why a requested steady fast-forward could not engage — the run
+    #: fell back to exact (None when the request engaged as asked, or
+    #: nothing was requested)
     fidelity_fallback: Optional[str] = None
     #: inputs echoed into the result: the staged variable's size and
     #: the number of staging servers the run placed
@@ -483,24 +481,18 @@ def run_coupled(
     overrides the library's default failure reaction.  Both are part of
     the run-cache key, so chaos runs never collide with clean ones.
 
-    ``fidelity="clustered"`` asks the run to simulate one
-    representative actor per symmetry equivalence class instead of
-    every actor; it engages only when the configuration's structural
-    checks prove the classes identical (see
-    :meth:`~repro.staging.base.StagingLibrary.clustering_plan`) and
-    silently falls back to exact otherwise — check
-    ``RunResult.fidelity`` for what actually ran.
-
-    ``fidelity="steady"`` additionally asks the run to stop simulating
-    once the coupled step loop provably enters a periodic orbit — two
-    consecutive step boundaries matching in the full observable
-    fingerprint modulo one exact clock translation Δ — and fast-forward
-    the remaining iterations by exact translation (see
-    :meth:`~repro.staging.base.StagingLibrary.steady_plan`).
-    ``fidelity="steady+clustered"`` composes both reductions.  Either
-    falls back automatically (to clustered or exact) whenever the
-    library declines a certificate or no boundary pair matches;
-    ``RunResult.fidelity_fallback`` records why.
+    ``fidelity`` is ``"exact"`` or ``"steady"``.  ``"steady"`` asks
+    the run to stop simulating once the coupled step loop provably
+    enters a periodic orbit — two consecutive step boundaries matching
+    in the full observable fingerprint modulo one exact clock
+    translation Δ — and fast-forward the remaining iterations by exact
+    translation (see
+    :meth:`~repro.staging.base.StagingLibrary.steady_plan`).  It falls
+    back to exact whenever the library declines the certificate or no
+    boundary pair matches; ``RunResult.fidelity`` records what ran and
+    ``RunResult.fidelity_fallback`` why.  ``"steady+clustered"`` is an
+    older spelling of ``"steady"``, accepted and normalized before the
+    run is keyed.
 
     Results are memoized in :mod:`repro.core.runcache` keyed on every
     input that determines the outcome; traced runs bypass the cache.
@@ -508,10 +500,11 @@ def run_coupled(
     environment.  The result holds plain numbers and series only, so
     it pins no simulator state once returned.
     """
-    if fidelity not in ("exact", "clustered", "steady", "steady+clustered"):
+    if fidelity == "steady+clustered":
+        fidelity = "steady"
+    if fidelity not in ("exact", "steady"):
         raise ValueError(
-            "fidelity must be 'exact', 'clustered', 'steady' or "
-            f"'steady+clustered', got {fidelity!r}"
+            f"fidelity must be 'exact' or 'steady', got {fidelity!r}"
         )
     # Resolve the call to its point: every input that determines the
     # outcome, with machine/workflow reduced to catalog names and the
@@ -614,9 +607,7 @@ def run_coupled(
         # verification.  Rerun the whole configuration (fresh
         # environment, cluster and library) without the fast-forward
         # — a false engagement costs time, never correctness.
-        result = _attempt(
-            "clustered" if fidelity == "steady+clustered" else "exact"
-        )
+        result = _attempt("exact")
         result.fidelity_fallback = f"steady: {exc}"
     finally:
         if was_enabled:
@@ -701,8 +692,6 @@ def _execute(
 
     if library is not None:
         topo = library.topology
-        sim_actors, ana_actors = topo.sim_actors, topo.ana_actors
-        sim_scale, ana_scale = topo.sim_scale, topo.ana_scale
         placement = library.placement
         result.nservers = topo.nservers
     else:
@@ -712,45 +701,23 @@ def _execute(
         from ..staging.base import Topology
 
         topo = Topology(nsim=nsim, nana=nana, **(topology_overrides or {}))
-        sim_actors, ana_actors = topo.sim_actors, topo.ana_actors
-        sim_scale, ana_scale = topo.sim_scale, topo.ana_scale
         placement = Placement(cluster, shared_nodes=shared_nodes)
-        placement.place("simulation", sim_actors, ranks_per_node=1)
-        placement.place("analytics", ana_actors, ranks_per_node=1)
+        placement.place("simulation", topo.sim_actors, ranks_per_node=1)
+        placement.place("analytics", topo.ana_actors, ranks_per_node=1)
+    sim_actors, ana_actors = topo.sim_actors, topo.ana_actors
 
     write_regions = application_decomposition(var, sim_actors, axis)
     read_regions = application_decomposition(var, ana_actors, axis)
     bytes_per_sim_proc = var.nbytes / nsim
     bytes_per_ana_proc = var.nbytes / nana
 
-    clustered_req = fidelity in ("clustered", "steady+clustered")
-    steady_req = fidelity in ("steady", "steady+clustered")
-
-    # Clustered fidelity: simulate one representative group when the
-    # library's structural checks prove the chains identical and
-    # disjoint.  Compute-only baselines have no interactions at all, so
-    # one simulation and one analytics actor always suffice.
-    plan: Optional[ClusterPlan] = None
-    if clustered_req and trace is None and fault_plan is None:
-        if library is None:
-            plan = ClusterPlan(sim_reps=1, ana_reps=1, server_reps=0, groups=1)
-        else:
-            plan = library.clustering_plan(write_regions, read_regions)
-            if plan is not None:
-                library.active_writers = plan.sim_reps
-                library.active_readers = plan.ana_reps
-                library.stats_replicas = plan.groups
-    sim_count = plan.sim_reps if plan is not None else sim_actors
-    ana_count = plan.ana_reps if plan is not None else ana_actors
-    result.fidelity = "clustered" if plan is not None else "exact"
-
     sim_trackers = [
         placement.node_of("simulation", i).process_memory(f"simproc{i}")
-        for i in range(sim_count)
+        for i in range(sim_actors)
     ]
     ana_trackers = [
         placement.node_of("analytics", j).process_memory(f"anaproc{j}")
-        for j in range(ana_count)
+        for j in range(ana_actors)
     ]
     if library is not None:
         for i, tracker in enumerate(sim_trackers):
@@ -763,7 +730,7 @@ def _execute(
     # construction, and a recovery policy can arm mid-run behaviour
     # (e.g. DRC credential retries) the fingerprint cannot vouch for.
     steady = None
-    if steady_req:
+    if fidelity == "steady":
         if trace is not None:
             result.fidelity_fallback = "steady: traced run records every step"
         elif fault_plan is not None:
@@ -793,7 +760,7 @@ def _execute(
 
                 steady = _SteadyController(
                     env, library, steps, splan.warmup,
-                    n_actors=sim_count + ana_count,
+                    n_actors=sim_actors + ana_actors,
                     series_fn=_steady_series,
                     trackers=sim_trackers + ana_trackers,
                 )
@@ -894,8 +861,8 @@ def _execute(
         finish["ana"] = max(finish["ana"], env.now)
 
     procs = [env.process(booter(env))]
-    procs += [env.process(sim_actor(i)) for i in range(sim_count)]
-    procs += [env.process(ana_actor(j)) for j in range(ana_count)]
+    procs += [env.process(sim_actor(i)) for i in range(sim_actors)]
+    procs += [env.process(ana_actor(j)) for j in range(ana_actors)]
 
     def main(env):
         yield env.all_of(procs)
@@ -934,9 +901,7 @@ def _execute(
             # on divergence _SteadyDiverged propagates to run_coupled,
             # which reruns the configuration without the fast-forward.
             steady_end = steady.finalize(finish, library)
-            result.fidelity = (
-                "steady+clustered" if plan is not None else "steady"
-            )
+            result.fidelity = "steady"
         else:
             if library is not None:
                 library._steady_tap = None
@@ -954,15 +919,7 @@ def _execute(
         result.put_time = library.stats.put_time
         result.get_time = library.stats.get_time
         result.bytes_staged = library.stats.bytes_staged
-        peaks = library.server_memory_peaks()
-        if plan is not None and plan.groups > 1 and plan.server_reps:
-            # Only the representative servers saw staged data; extend
-            # their peaks to the full list per the plan's tiling.
-            if plan.server_tiling == "leader":
-                peaks = peaks[:1] + peaks[1:2] * (len(peaks) - 1)
-            else:
-                peaks = peaks[: plan.server_reps] * plan.groups
-        result.server_memory_peaks = peaks
+        result.server_memory_peaks = library.server_memory_peaks()
         if library.servers:
             result.server_memory = library.servers[0].memory.series
             result.server_memory_breakdown = library.servers[0].memory.breakdown()

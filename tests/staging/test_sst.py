@@ -3,9 +3,9 @@
 Covers the sixth (beyond-the-paper) scenario family end to end: data
 round-trips under both queue policies, reader pacing as real
 backpressure, latest-step-wins discard semantics, and the honest
-fidelity certificates — engage where the structural proof holds,
-decline with a recorded reason where it does not, and fall back
-bit-identically to the exact run either way.
+steady certificate — engage where the periodicity proof holds, decline
+with a recorded reason where it does not, and fall back bit-identically
+to the exact run either way.
 """
 
 import numpy as np
@@ -163,48 +163,42 @@ def _coupled(machine, fidelity, **overrides):
 
 class TestFidelityCertificates:
     def test_cori_mpi_engages_both_reductions(self):
-        """Dragonfly hops are uniform and MPI needs no DRC: the stream
-        groups are provably identical, so clustering + steady engage."""
-        result = _coupled("cori", "steady+clustered")
+        """Reader pacing over MPI repeats every step: steady engages."""
+        result = _coupled("cori", "steady")
         assert result.ok
-        assert result.fidelity == "steady+clustered"
+        assert result.fidelity == "steady"
         assert result.fidelity_fallback is None
 
     def test_cori_engagement_is_bit_identical_to_exact(self):
-        reduced = _coupled("cori", "steady+clustered")
+        reduced = _coupled("cori", "steady")
         exact = _coupled("cori", "exact")
         assert reduced.end_to_end == exact.end_to_end
         assert reduced.put_time == exact.put_time
         assert reduced.get_time == exact.get_time
         assert reduced.bytes_staged == exact.bytes_staged
 
-    def test_titan_torus_declines_clustering(self):
-        """Unequal hop counts across the torus break the one-group-
-        stands-for-all proof; steady still engages on its own."""
-        result = _coupled("titan", "steady+clustered")
-        assert result.ok
-        assert result.fidelity == "steady"
-
-    def test_titan_decline_falls_back_bit_identically(self):
-        declined = _coupled("titan", "steady+clustered")
+    def test_titan_steady_is_bit_identical_to_exact(self):
+        """The torus run fast-forwards too, with the same numbers."""
+        reduced = _coupled("titan", "steady")
         exact = _coupled("titan", "exact")
-        assert declined.end_to_end == exact.end_to_end
-        assert declined.put_time == exact.put_time
-        assert declined.get_time == exact.get_time
+        assert reduced.fidelity == "steady"
+        assert reduced.end_to_end == exact.end_to_end
+        assert reduced.put_time == exact.put_time
+        assert reduced.get_time == exact.get_time
 
     def test_discard_declines_steady_with_a_recorded_reason(self):
         """Which steps get dropped depends on the absolute writer/reader
         phase: hidden aperiodic state no fingerprint can vouch for."""
         result = _coupled(
-            "cori", "steady+clustered", config_knobs=dict(sst_discard=True)
+            "cori", "steady", config_knobs=dict(sst_discard=True)
         )
         assert result.ok
-        assert result.fidelity == "exact"  # clustering declines too
+        assert result.fidelity == "exact"
         assert "aperiodic hidden state" in result.fidelity_fallback
 
     def test_discard_decline_falls_back_bit_identically(self):
         declined = _coupled(
-            "cori", "steady+clustered", config_knobs=dict(sst_discard=True)
+            "cori", "steady", config_knobs=dict(sst_discard=True)
         )
         exact = _coupled(
             "cori", "exact", config_knobs=dict(sst_discard=True)
@@ -212,21 +206,11 @@ class TestFidelityCertificates:
         assert declined.end_to_end == exact.end_to_end
         assert declined.put_time == exact.put_time
 
-    def test_pmem_mirroring_declines_clustering(self):
-        """Every group would write through the one shared tier device."""
-        result = _coupled(
-            "cori", "clustered", config_knobs=dict(pmem_checkpoint=True)
-        )
-        assert result.ok
-        assert result.fidelity == "exact"
-        plain = _coupled("cori", "clustered")
-        assert plain.fidelity == "clustered"
-
     def test_short_runs_record_the_warmup_decline(self):
         """steps=5 under queue_size=4 leaves no room past the warm-up."""
         result = _coupled(
-            "cori", "steady+clustered", config_knobs=dict(queue_size=4)
+            "cori", "steady", config_knobs=dict(queue_size=4)
         )
         assert result.ok
-        assert result.fidelity == "clustered"
+        assert result.fidelity == "exact"
         assert "warm-up" in result.fidelity_fallback

@@ -1,20 +1,13 @@
-"""Determinism and clustered-fidelity equivalence of the driver.
+"""Determinism of the driver and the ``fidelity`` argument it accepts.
 
-Two properties back the performance work of this repo:
-
-* **determinism** — the simulation breaks time ties by event id, so the
-  same configuration always produces bit-identical results (this is
-  what makes the run cache and the golden files sound);
-* **clustered == exact** — when ``fidelity="clustered"`` engages, the
-  representative-group run must reproduce the exact run bit for bit,
-  and it must *refuse* to engage whenever a structural coupling (DRC,
-  non-uniform hops, mismatched layouts...) would break that.
+The simulation breaks time ties by event id, so the same configuration
+always produces bit-identical results: that is what makes the run cache
+and the golden files sound.
 """
 
 import pytest
 
 from repro.core import runcache
-from repro.staging.ndarray import Variable
 from repro.workflows import run_coupled
 
 SCALAR_FIELDS = (
@@ -62,79 +55,18 @@ class TestDeterminism:
         assert titan.end_to_end != cori.end_to_end
 
 
-# ------------------------------------------------ clustered equivalence
-
-MATCHED = dict(
-    method="dataspaces", workflow="synthetic", nsim=8, nana=8,
-    num_servers=8, transport="tcp", variable=Variable("v", (8192, 64)),
-    app_axis=0,
-    topology_overrides=dict(sim_ranks_per_node=1, ana_ranks_per_node=1),
-)
+# ----------------------------------------------------- fidelity argument
 
 
 class TestClusteredEquivalence:
-    @pytest.mark.parametrize("machine", ["titan", "cori"])
-    @pytest.mark.parametrize(
-        "kwargs,engages",
-        [
-            # compute-only baselines: no interactions, always clusterable
-            (dict(method=None, nsim=512, nana=256), {"titan": True, "cori": True}),
-            # Decaf islands: uniform one-hop distances on Cori's
-            # dragonfly; Titan's torus hops vary with placement offset
-            (dict(method="decaf", nsim=512, nana=256), {"titan": False, "cori": True}),
-            # matched-layout DataSpaces over sockets: isolated chains
-            (MATCHED, {"titan": True, "cori": True}),
-        ],
-        ids=["compute-only", "decaf", "dataspaces-matched"],
-    )
-    def test_bitwise_equal_and_engagement(self, machine, kwargs, engages):
-        exact = fresh_run(machine=machine, fidelity="exact", **kwargs)
-        clustered = fresh_run(machine=machine, fidelity="clustered", **kwargs)
-        expected = "clustered" if engages[machine] else "exact"
-        assert clustered.fidelity == expected
-        assert exact.fidelity == "exact"
-        assert_identical(exact, clustered, ignore=("fidelity",))
-
-    def test_drc_blocks_clustering_on_cori(self):
-        # uGNI on Cori goes through the single DRC credential service,
-        # which staggers the chains: the mode must refuse.
-        result = fresh_run(machine="cori", fidelity="clustered",
-                           **{**MATCHED, "transport": "ugni"})
-        assert result.fidelity == "exact"
-
-    def test_mismatched_layout_blocks_clustering(self):
-        # LAMMPS decomposes axis 1 while the partition splits axis 2:
-        # every writer touches every server (the Finding-3 herd).
-        result = fresh_run(machine="cori", fidelity="clustered",
-                           method="dataspaces", nsim=512, nana=256)
-        assert result.fidelity == "exact"
-
-    def test_clustered_runs_fewer_actors(self):
-        # The point of the mode: representative chains, same numbers.
-        from repro.sim.engine import Environment
-
-        counts = []
-        orig = Environment.step
-
-        def counting(env):
-            counts[-1] += 1
-            orig(env)
-
-        Environment.step = counting
-        try:
-            for fidelity in ("exact", "clustered"):
-                counts.append(0)
-                fresh_run(machine="cori", method="decaf",
-                          nsim=512, nana=256, fidelity=fidelity)
-        finally:
-            Environment.step = orig
-        exact_events, clustered_events = counts
-        assert clustered_events < exact_events / 2
+    """``exact`` is the default; only ``exact`` and ``steady`` (plus
+    ``steady+clustered``, an old spelling of ``steady``) are accepted."""
 
     def test_exact_default(self):
         result = fresh_run(machine="titan", method=None, nsim=32, nana=16)
         assert result.fidelity == "exact"
 
     def test_invalid_fidelity_rejected(self):
-        with pytest.raises(ValueError):
-            run_coupled(fidelity="fast")
+        for fidelity in ("fast", "clustered"):
+            with pytest.raises(ValueError):
+                run_coupled(fidelity=fidelity)

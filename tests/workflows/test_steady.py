@@ -3,7 +3,7 @@
 The temporal memoization must be invisible in the numbers: whenever the
 driver fast-forwards a periodic tail it has to reproduce the exact
 run's :class:`RunResult` float for float, and whenever it cannot prove
-periodicity it has to fall back to the stricter mode and say why in
+periodicity it has to fall back to exact and say why in
 ``RunResult.fidelity_fallback``.
 """
 
@@ -14,6 +14,7 @@ from repro.core import runcache
 from repro.workflows import run_coupled
 from repro.workflows.trace import ActivityTrace
 
+from .test_differential import _outputs
 from .test_perf_modes import assert_identical, fresh_run
 
 METHODS = ["mpiio", "dataspaces", "dimes", "flexpath", "decaf"]
@@ -43,13 +44,11 @@ class TestSteadyEquivalence:
         kwargs = dict(machine=machine, method=method, nsim=32, nana=16,
                       steps=8)
         exact = fresh_run(fidelity="exact", **kwargs)
+        # the old spelling of "steady" still runs the steady rung
         composed = fresh_run(fidelity="steady+clustered", **kwargs)
-        assert composed.fidelity in (
-            "steady+clustered", "steady", "clustered", "exact"
-        )
+        assert composed.fidelity in ("steady", "exact")
         if (method, machine) in (("mpiio", "titan"), ("dimes", "cori")):
-            # Clustering declines on these contended paths; the steady
-            # fast-forward must still engage on the full group.
+            # contended paths: the fast-forward must still engage
             assert composed.fidelity == "steady"
         assert_identical(exact, composed, ignore=("fidelity",))
 
@@ -132,6 +131,24 @@ class TestSteadyFallbackReasons:
         result = fresh_run(fidelity="steady", steps=2, **self.KW)
         assert result.fidelity == "exact"
         assert "steps leave no room" in result.fidelity_fallback
+
+    def test_diverged_orbit_reruns_exact(self, monkeypatch):
+        # A confirmed orbit that fails replay-time verification reruns
+        # the whole configuration without the fast-forward.
+        from repro.workflows import driver
+
+        kwargs = dict(self.KW, method="mpiio", steps=8)
+        exact = fresh_run(fidelity="exact", **kwargs)
+        assert fresh_run(fidelity="steady", **kwargs).fidelity == "steady"
+
+        def diverge(controller, finish, library):
+            raise driver._SteadyDiverged("injected divergence")
+
+        monkeypatch.setattr(driver._SteadyController, "finalize", diverge)
+        rerun = fresh_run(fidelity="steady", **kwargs)
+        assert rerun.fidelity == "exact"
+        assert rerun.fidelity_fallback.startswith("steady: ")
+        assert _outputs(rerun) == _outputs(exact)
 
     def test_fallback_is_cached_like_any_run(self):
         runcache.clear()
